@@ -5,7 +5,8 @@ deterministic given their observation sequence.
 
 Variants:
 
-* ``ucb_bwcr``  - optimistic step over the confidence region (LP or saddle).
+* ``ucb_bwcr``  - optimistic step over the confidence region (exact LP /
+  cutting-plane step over intervals, saddle search over ellipsoids).
 * ``ucb_bwk``   - budgeted LP step with shrink factor eps; stops on overrun.
 * ``dual_oco``  - linearized dual play driven by an OCO update.
 * ``fw_primal`` - conditional-gradient play at the running-average gradient.
@@ -125,18 +126,30 @@ class _StepperBase:
         self.d, self.m = instance.d, instance.m
         self.gamma = _resolved_gamma(config, self.d, self.m)
         self.conf = ConfidenceState(self.d, self.m, self.gamma)
-        self._known = instance.mean_matrix.copy() if config.use_known_means else None
+        # known means pin the region to a zero-width cube, validated once; the
+        # confidence state is then never read, so observe skips its update
+        known = instance.mean_matrix.copy()
+        self._known = Hypercube(lcb=known, ucb=known) if config.use_known_means else None
         self.xbar: Optional[np.ndarray] = None
         self.steps_seen = 0
         self._pending_x: Optional[np.ndarray] = None
+        self._x0: Optional[np.ndarray] = None
         # policies are immutable; cache the ones played repeatedly
         self._points = [point_mass(self.m, i) for i in range(self.m)]
         self._uniform = uniform_policy(self.m)
 
     def _hypercube(self) -> Hypercube:
         if self._known is not None:
-            return Hypercube(lcb=self._known, ucb=self._known)
+            return self._known
         return hypercube(self.conf)
+
+    def _base_point(self) -> np.ndarray:
+        """The running average, or before any play the UCB image of uniform play."""
+        if self.xbar is not None:
+            return self.xbar
+        if self._x0 is None:
+            self._x0 = self._hypercube().ucb @ np.full(self.m, 1.0 / self.m)
+        return self._x0
 
     def _push_xbar(self, x: np.ndarray):
         self.steps_seen += 1
@@ -149,7 +162,7 @@ class _StepperBase:
         raise NotImplementedError
 
     def observe(self, arm: int, observation: np.ndarray):
-        if arm != IDLE:
+        if arm != IDLE and self._known is None:
             self.conf.update(arm, observation)
         if self._pending_x is not None:
             self._push_xbar(self._pending_x)
@@ -172,25 +185,27 @@ class UcbBwcrStepper(_StepperBase):
         self.s = config.constraint_set
         if config.eps and self.s is not None:
             self.s = self.s.shrink(config.eps)
-        self._contextual = instance.contextual is not None
-        if self._contextual:
+        # contextual instances with unknown means play over confidence
+        # ellipsoids, where the saddle search alone takes solver options
+        self._ellipsoid = instance.contextual is not None and self._known is None
+        self._saddle_options = {}
+        if self._ellipsoid:
             self.ell = EllipsoidState(self.d, instance.contextual.n)
             self._contexts = instance.contextual.contexts
-        self._lip = config.lipschitz if config.lipschitz is not None else self.f.lipschitz
+            self._saddle_options = dict(config.solver, lipschitz=config.lipschitz)
         self._warm = None
         self._workspace: dict = {}
         self.infeasible_steps = 0
 
     def _region(self):
-        if self._contextual and self._known is None:
+        if self._ellipsoid:
             return EllipsoidRegion(self.ell, self._contexts)
         return HypercubeRegion(self._hypercube())
 
     def step(self, t: int):
         region = self._region()
-        res = solve_ucb_step(region, self.f, self.s, lipschitz=self._lip,
-                             warm=self._warm, workspace=self._workspace,
-                             **self.config.solver)
+        res = solve_ucb_step(region, self.f, self.s, warm=self._warm,
+                             workspace=self._workspace, **self._saddle_options)
         self._warm = res
         if not res.feasible:
             self.infeasible_steps += 1
@@ -201,7 +216,7 @@ class UcbBwcrStepper(_StepperBase):
         return res.policy
 
     def _after_observe(self, arm, observation):
-        if self._contextual and arm != IDLE:
+        if self._ellipsoid and arm != IDLE:
             self.ell.update(self._contexts[:, arm, :], observation)
 
 
@@ -292,14 +307,6 @@ class FwPrimalStepper(_StepperBase):
         else:
             self.f = config.objective
             self._grad = self.f.supergradient
-        self._x0: Optional[np.ndarray] = None
-
-    def _base_point(self):
-        if self.xbar is not None:
-            return self.xbar
-        if self._x0 is None:
-            self._x0 = self._hypercube().ucb @ np.full(self.m, 1.0 / self.m)
-        return self._x0
 
     def step(self, t: int):
         grad = self._grad(self._base_point())
@@ -318,14 +325,6 @@ class FwBwcStepper(_StepperBase):
     def __init__(self, config, instance):
         super().__init__(config, instance)
         self.s = config.constraint_set
-        self._x0: Optional[np.ndarray] = None
-
-    def _base_point(self):
-        if self.xbar is not None:
-            return self.xbar
-        if self._x0 is None:
-            self._x0 = self._hypercube().ucb @ np.full(self.m, 1.0 / self.m)
-        return self._x0
 
     def step(self, t: int):
         base = self._base_point()
@@ -542,4 +541,8 @@ def make_algorithm(config: AlgorithmConfig, instance: InstanceModel) -> _Stepper
     config.validate()
     if instance.contextual is not None and config.variant != "ucb_bwcr" and not config.use_known_means:
         raise ConfigError("contextual instances are supported by the ucb_bwcr variant only")
+    if config.solver and (config.variant != "ucb_bwcr" or instance.contextual is None
+                          or config.use_known_means):
+        raise ConfigError("solver options tune the saddle search, which only runs for "
+                          "ucb_bwcr on contextual instances with unknown means")
     return _STEPPERS[config.variant](config, instance)

@@ -1,14 +1,14 @@
 """Offline benchmark (the best fixed mixture in hindsight) and regret series.
 
 The benchmark maximizes f(V p) over the simplex subject to V p in S, with the
-true means V (simulator side only).  Small arm counts use a zooming grid over
-the simplex; larger ones reuse the optimistic step machinery with a
-zero-width confidence region, for which the step problem coincides with the
-benchmark problem.
+true means V (simulator side only).  That is the optimistic step over the
+zero-width confidence region pinned to V, so it is solved by the same exact
+interval-region step (one LP, or cutting planes on it, to a certified gap).
 """
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -16,9 +16,8 @@ import numpy as np
 
 from .core import InstanceModel, PolicyDistribution, RunHistory
 from .geometry import ConvexSet, L2, NormPair
-from .lp import solve_dense_lp
-from .objective import Objective
-from .solvers import LpProblem, degenerate_region, solve_lp, solve_ucb_step
+from .objective import LinearObjective, Objective
+from .solvers import GAP_TOL, LpProblem, degenerate_region, solve_lp, solve_ucb_step
 
 
 @dataclass
@@ -47,130 +46,21 @@ class RegretTrace:
     stop_time: Optional[int] = None
 
 
-def simplex_grid(m: int, step: float) -> np.ndarray:
-    """All points of the simplex lattice with the given step."""
-    n = round(1.0 / step)
-    pts = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            pts.append(prefix + [remaining])
-            return
-        for k in range(remaining + 1):
-            rec(prefix + [k], remaining - k, slots - 1)
-
-    rec([], n, m)
-    return np.asarray(pts, dtype=float) * step
-
-
-def _local_simplex_grid(center: np.ndarray, step: float, halfwidth: int) -> np.ndarray:
-    """Simplex lattice points of the given step within a window of the center."""
-    m = center.shape[0]
-    if m == 1:
-        return np.array([[1.0]])
-    base = np.round(center / step).astype(int)
-    offsets = range(-halfwidth, halfwidth + 1)
-    free = m - 1
-    grids = np.meshgrid(*([list(offsets)] * free), indexing="ij")
-    deltas = np.stack([g.ravel() for g in grids], axis=1)
-    pts = base[None, :free] + deltas
-    last = round(1.0 / step) - pts.sum(axis=1)
-    pts = np.hstack([pts, last[:, None]])
-    ok = np.all(pts >= 0, axis=1)
-    return pts[ok].astype(float) * step
-
-
-def _feasible_mask(v: np.ndarray, pts: np.ndarray, s: Optional[ConvexSet],
-                   tol_feas: float) -> np.ndarray:
-    if s is None:
-        return np.ones(pts.shape[0], dtype=bool)
-    z = pts @ v.T
-    return s.distance_many(z) <= tol_feas
-
-
-def _values(v: np.ndarray, pts: np.ndarray, f: Optional[Objective]) -> np.ndarray:
-    if f is None:
-        return np.zeros(pts.shape[0])
-    z = pts @ v.T
-    return np.array([f.value(zi) for zi in z])
-
-
-def _polyhedral_feasible(v: np.ndarray, s: ConvexSet):
-    """Exact feasibility certificate for box/halfspace targets: is there a
-    simplex point p with V p in S?  Returns (verdict, witness policy) or
-    (None, None) when no exact test applies."""
-    from .geometry import Box as _Box, Halfspaces as _Halfspaces
-    d, m = v.shape
-    if isinstance(s, _Box):
-        a_ub = np.vstack([v, -v])
-        b_ub = np.concatenate([s.upper, -s.lower])
-    elif isinstance(s, _Halfspaces):
-        a_ub = np.vstack([s.normals @ v, v])
-        b_ub = np.concatenate([s.offsets, s.upper])
-    else:
-        return None, None
-    res = solve_dense_lp(np.zeros(m), a_ub=a_ub, b_ub=b_ub,
-                         a_eq=np.ones((1, m)), b_eq=np.ones(1))
-    if res.status != "optimal":
-        return False, None
-    p = np.maximum(res.x, 0.0)
-    return True, p / p.sum()
-
-
 def compute_opt(instance: InstanceModel, f: Optional[Objective] = None,
-                s: Optional[ConvexSet] = None, tol_feas: float = 1e-6) -> BenchmarkResult:
+                s: Optional[ConvexSet] = None) -> BenchmarkResult:
     """Best feasible mixture under the true means.
 
-    Arm counts up to four are solved on a zooming simplex grid (coarse pass,
-    then two local refinements down to 1e-5 resolution around the incumbent);
-    larger instances go through the optimistic-step solver with a degenerate
-    region, where the step problem equals the benchmark problem.
+    Without an objective the step LP has a zero cost, so p* is its
+    feasibility witness and ``opt_value`` is nan.
     """
     v = instance.mean_matrix
-    m = instance.m
-    exact_feasible, witness = (None, None) if s is None else _polyhedral_feasible(v, s)
-    if exact_feasible is False:
-        return BenchmarkResult(p_star=None, opt_value=math.nan, feasible=False)
-    if m <= 4:
-        coarse = 0.01 if m == 4 else 0.001
-        pts = simplex_grid(m, coarse)
-        best_p = None
-        for stage, step in enumerate([coarse, coarse / 10.0, coarse / 100.0, 1e-5]):
-            if step < coarse:
-                if best_p is None:
-                    break
-                pts = _local_simplex_grid(best_p, step, halfwidth=12)
-                if pts.shape[0] == 0:
-                    break
-            mask = _feasible_mask(v, pts, s, tol_feas)
-            if not mask.any():
-                continue
-            vals = _values(v, pts[mask], f)
-            best_p = pts[mask][int(np.argmax(vals))]
-            if step <= 1e-5:
-                break
-        if best_p is None:
-            # the lattice can miss knife-edge feasible sets; fall back to the
-            # exact witness when one exists
-            if witness is None:
-                return BenchmarkResult(p_star=None, opt_value=math.nan, feasible=False)
-            best_p = witness
-        pol = PolicyDistribution(best_p / best_p.sum())
-        val = f.value(v @ pol.weights) if f is not None else math.nan
-        return BenchmarkResult(p_star=pol, opt_value=val, feasible=True)
-
-    region = degenerate_region(v)
-    from .objective import LinearObjective
     fx = f if f is not None else LinearObjective(np.zeros(instance.d))
-    res = solve_ucb_step(region, fx, s, method="saddle" if f is not None
-                         and not isinstance(f, LinearObjective) else "auto",
-                         outer_iters=300, inner_iters=25, tol_feas=tol_feas)
+    res = solve_ucb_step(degenerate_region(v), fx, s)
     if not res.feasible:
-        if witness is None:
-            return BenchmarkResult(p_star=None, opt_value=math.nan, feasible=False)
-        pol = PolicyDistribution(witness)
-        val = f.value(v @ witness) if f is not None else math.nan
-        return BenchmarkResult(p_star=pol, opt_value=val, feasible=True)
+        return BenchmarkResult(p_star=None, opt_value=math.nan, feasible=False)
+    if res.gap > GAP_TOL:
+        warnings.warn(f"benchmark optimum certified only to a gap of {res.gap:.3g} "
+                      f"after {res.rounds} cutting-plane rounds", stacklevel=2)
     val = f.value(v @ res.policy.weights) if f is not None else math.nan
     return BenchmarkResult(p_star=res.policy, opt_value=val, feasible=True)
 

@@ -30,15 +30,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    from .benchmark import compute_bwk_opt, compute_opt
-    from .harness import build_algorithm_config, load_config, resolve_instance
+    from .harness import build_algorithm_config, load_config, offline_benchmark, resolve_instance
     cfg = load_config(args.config)
-    instance, objective, cset = resolve_instance(cfg)
-    algo_cfg = build_algorithm_config(cfg, objective, cset)
-    if algo_cfg.variant in ("ucb_bwk", "greedy_bwk"):
-        bench = compute_bwk_opt(instance, algo_cfg.budget, cfg.horizon)
-    else:
-        bench = compute_opt(instance, objective, cset)
+    instance, objective, cset, feasibility = resolve_instance(cfg)
+    bench = offline_benchmark(cfg, build_algorithm_config(cfg, objective, cset), instance,
+                              feasibility)
     print(json.dumps({
         "feasible": bench.feasible,
         "opt_value": None if math.isnan(bench.opt_value) else bench.opt_value,

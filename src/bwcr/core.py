@@ -9,7 +9,7 @@ rerun with the same addressing is bitwise identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -169,15 +169,15 @@ class RunHistory:
 
     observations: np.ndarray        # (steps, d); zero row on idle steps
     arms: np.ndarray                # (steps,); IDLE for idle steps
-    policies: np.ndarray            # (steps, m)
     stop_time: Optional[int] = None  # BwK stopping time tau, else None
+    algorithm: Any = None           # final stepper state, for diagnostics
 
     @property
     def steps(self) -> int:
         return self.arms.shape[0]
 
     def validate(self):
-        if not (self.observations.shape[0] == self.arms.shape[0] == self.policies.shape[0]):
+        if self.observations.shape[0] != self.arms.shape[0]:
             raise ValueError("history arrays disagree in length")
 
 

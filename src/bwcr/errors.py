@@ -11,7 +11,3 @@ class GenerationError(RuntimeError):
 
 class UnsupportedError(RuntimeError):
     """The requested operation is not available for this representation."""
-
-
-class InfeasibleError(RuntimeError):
-    """A solver was asked for a solution where none exists."""

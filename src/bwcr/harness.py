@@ -42,6 +42,7 @@ from .objective import LinearObjective, Objective, objective_from_json
 from .solvers import LpProblem, solve_lp
 
 GENERATOR_KINDS = ("random_bernoulli", "bwk", "sensor_network", "contextual")
+BWK_VARIANTS = ("ucb_bwk", "greedy_bwk")
 
 
 @dataclass(frozen=True)
@@ -215,7 +216,9 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def resolve_instance(cfg: ExperimentConfig):
-    """Materialize the instance and the objective/constraint oracles."""
+    """Materialize the instance, the objective/constraint oracles and, with a
+    target set, its feasibility check ``compute_opt(instance, None, cset)``
+    (GenerationError when no mixture of the means lies in the set)."""
     if cfg.instance is not None:
         instance, gen_f, gen_s = cfg.instance, None, None
     else:
@@ -226,11 +229,24 @@ def resolve_instance(cfg: ExperimentConfig):
             GeneratorSpec(cfg.generator.kind, params), cfg.instance_seed)
     objective = cfg.objective if cfg.objective is not None else gen_f
     cset = cfg.constraint_set if cfg.constraint_set is not None else gen_s
+    feasibility = None
     if cset is not None:
-        feas = compute_opt(instance, None, cset)
-        if not feas.feasible:
+        feasibility = compute_opt(instance, None, cset)
+        if not feasibility.feasible:
             raise GenerationError("no mixture of the instance means lies in the target set")
-    return instance, objective, cset
+    return instance, objective, cset, feasibility
+
+
+def offline_benchmark(cfg: ExperimentConfig, algo_cfg: AlgorithmConfig, instance: InstanceModel,
+                      feasibility: Optional[BenchmarkResult]) -> BenchmarkResult:
+    """The benchmark of a run: the per-step LP for budgeted variants, else the
+    best feasible mixture, which for a constraint-only config is the
+    feasibility solve :func:`resolve_instance` already made."""
+    if algo_cfg.variant in BWK_VARIANTS:
+        return compute_bwk_opt(instance, algo_cfg.budget, cfg.horizon)
+    if algo_cfg.objective is None and feasibility is not None:
+        return feasibility
+    return compute_opt(instance, algo_cfg.objective, algo_cfg.constraint_set)
 
 
 def build_algorithm_config(cfg: ExperimentConfig, objective, cset) -> AlgorithmConfig:
@@ -243,7 +259,7 @@ def build_algorithm_config(cfg: ExperimentConfig, objective, cset) -> AlgorithmC
     unknown = set(algo) - known
     if unknown:
         raise ConfigError(f"unknown algorithm fields: {sorted(unknown)}")
-    is_bwk = variant in ("ucb_bwk", "greedy_bwk")
+    is_bwk = variant in BWK_VARIANTS
     return AlgorithmConfig(
         variant=variant,
         horizon=cfg.horizon,
@@ -261,10 +277,9 @@ def run_single(instance: InstanceModel, algo_cfg: AlgorithmConfig, seed: int,
     algo = make_algorithm(algo_cfg, instance)
     rng_arms = substream(seed, 0, PURPOSE_ARMS)
     rng_obs = substream(seed, 0, PURPOSE_OUTCOMES)
-    d, m = instance.d, instance.m
+    d = instance.d
     obs = np.zeros((horizon, d))
     arms = np.zeros(horizon, dtype=np.int64)
-    policies = np.zeros((horizon, m))
     stop_time = None
     steps = 0
     for t in range(1, horizon + 1):
@@ -277,12 +292,9 @@ def run_single(instance: InstanceModel, algo_cfg: AlgorithmConfig, seed: int,
         algo.observe(arm, v)
         obs[t - 1] = v
         arms[t - 1] = arm
-        policies[t - 1] = policy.weights
         steps = t
-    history = RunHistory(observations=obs[:steps], arms=arms[:steps],
-                         policies=policies[:steps], stop_time=stop_time)
-    history.algorithm = algo  # final algorithm state rides along for diagnostics
-    return history
+    return RunHistory(observations=obs[:steps], arms=arms[:steps], stop_time=stop_time,
+                      algorithm=algo)
 
 
 def _fmt(x: float) -> str:
@@ -329,35 +341,29 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     started = time.time()
     out = Path(out_dir or cfg.output_dir or "out")
     out.mkdir(parents=True, exist_ok=True)
-    instance, objective, cset = resolve_instance(cfg)
+    instance, objective, cset, feasibility = resolve_instance(cfg)
     algo_cfg = build_algorithm_config(cfg, objective, cset)
-    is_bwk = algo_cfg.variant in ("ucb_bwk", "greedy_bwk")
+    is_bwk = algo_cfg.variant in BWK_VARIANTS
+    bench = offline_benchmark(cfg, algo_cfg, instance, feasibility)
 
     if is_bwk:
-        bench = compute_bwk_opt(instance, algo_cfg.budget, cfg.horizon)
         trace_f = LinearObjective(np.eye(instance.d)[0])
         ratio = min(algo_cfg.budget / cfg.horizon, 1.0)
         trace_s = Box(np.zeros(instance.d - 1), np.full(instance.d - 1, ratio))
-        bench_trace = BenchmarkResult(p_star=bench.p_star, opt_value=bench.opt_value,
-                                      feasible=bench.feasible)
     else:
-        bench = compute_opt(instance, objective, cset)
-        trace_f, trace_s, bench_trace = objective, cset, bench
+        trace_f, trace_s = objective, cset
 
     seeds = [seed_override] if seed_override is not None else cfg.seeds
     per_seed = []
     for seed in seeds:
         history = run_single(instance, algo_cfg, seed, cfg.horizon)
         if is_bwk:
-            cons_hist = RunHistory(observations=history.observations[:, 1:],
-                                   arms=history.arms, policies=history.policies,
-                                   stop_time=history.stop_time)
-            trace = regret_trace(history, bench_trace, trace_f, None,
+            trace = regret_trace(history, bench, trace_f, None,
                                  bwk_lp_value=bench.opt_value, horizon=cfg.horizon)
-            trace.areg2 = trace_s.distance_many(cons_hist.observations.cumsum(axis=0)
+            trace.areg2 = trace_s.distance_many(history.observations[:, 1:].cumsum(axis=0)
                                                 / trace.steps[:, None])
         else:
-            trace = regret_trace(history, bench_trace, trace_f, trace_s)
+            trace = regret_trace(history, bench, trace_f, trace_s)
         write_trace_csv(out / f"seed_{seed}.csv", history, trace, is_bwk)
         per_seed.append({
             "seed": seed,

@@ -242,15 +242,19 @@ class NegativeDistance(Objective):
         return -self.target.distance(_clip_domain(x), self.norm)
 
     def supergradient(self, x):
-        if self.norm.primal != "l2":
-            raise UnsupportedError("neg-distance supergradient implemented for l2 only")
         x = _clip_domain(x)
-        pi = self.target.project(x)
-        diff = x - pi
-        r = float(np.linalg.norm(diff))
-        if r == 0.0:
+        diff = x - self.target.project(x)
+        if not diff.any():
             return np.zeros_like(x)
-        return -diff / r
+        if self.norm.primal == "l2":
+            return -diff / float(np.linalg.norm(diff))
+        if not isinstance(self.target, Box):
+            raise UnsupportedError("neg-distance supergradient: l1/linf need a box target")
+        # a box's clip is nearest in every norm, so -d is -||.|| of the gap
+        if self.norm.primal == "l1":
+            return -np.sign(diff)
+        j = int(np.argmax(np.abs(diff)))
+        return -np.sign(diff[j]) * np.eye(x.shape[0])[j]
 
     def conjugate(self, theta):
         return self.target.support(theta)

@@ -6,13 +6,13 @@ Three pieces live here:
   p in the simplex (the knapsack step), on top of the dense tableau solver.
 * :func:`solve_ucb_step` - the optimistic step: maximize
   psi(p) = max over confidence region of f(V~ p)  subject to the region
-  touching the target set.  The generic engine runs projected subgradient on
-  p against the penalized objective psi(p) - lam * max(g(p), 0) with lam
-  doubling from 1 to 2^10, where psi and g are themselves evaluated by inner
-  projected gradient over the dual vector (the region enters only through
-  the componentwise-minimizing corner).  When the objective is linear and
-  the region is an interval hypercube the step is instead solved exactly as
-  a small LP in (p, z_reward, z_feasibility).
+  touching the target set.  Over an interval region the achievable set for
+  fixed p is the box [L p, U p], so the step is a concave program in
+  (p, z) over a polytope: one LP for a linear f, Kelley's cutting planes on
+  that LP otherwise, both with a certified gap.  Ellipsoid regions
+  (contextual instances) are not convex in (p, z) and use a penalized
+  saddle search: projected subgradient on p against psi(p) - lam * g(p)^+,
+  with psi and g evaluated by inner projected gradient over the dual vector.
 * OGD and entropic-mirror OCO steps used by the dual algorithms.
 """
 from __future__ import annotations
@@ -23,10 +23,11 @@ from typing import Optional
 
 import numpy as np
 
-from .confidence import EllipsoidState, Hypercube, vertex
+from .confidence import EllipsoidState, Hypercube
 from .core import PolicyDistribution
 from .errors import ConfigError, UnsupportedError
-from .geometry import Box, ConvexSet, Halfspaces, project_l2_ball, project_simplex
+from .geometry import (Box, ConvexSet, Halfspaces, VPolytope, project_l2_ball,
+                       project_simplex)
 from .lp import solve_dense_lp
 from .objective import LinearObjective, Objective, minimize_separable_ball
 
@@ -89,18 +90,9 @@ def solve_lp(problem: LpProblem, warm_basis: Optional[list] = None) -> LpStepRes
 class HypercubeRegion:
     """Achievable-set oracle backed by per-entry interval bounds."""
 
-    has_intervals = True
-
     def __init__(self, hc: Hypercube):
         self.hc = hc
         self.d, self.m = hc.lcb.shape
-
-    def min_linear(self, theta: np.ndarray, p: np.ndarray):
-        """min over region matrices of theta . (V~ p); returns
-        (value, achieved product x = V~ p, per-arm values theta^T V~)."""
-        w = vertex(self.hc, theta)
-        cols = theta @ w
-        return float(cols @ p), w @ p, cols
 
     def intervals(self, p: np.ndarray):
         return self.hc.lcb @ p, self.hc.ucb @ p
@@ -117,8 +109,6 @@ class EllipsoidRegion:
     row of V~ is x_{j,i} . w~_j with w~_j ranging over a confidence ellipsoid.
     """
 
-    has_intervals = True
-
     def __init__(self, es: EllipsoidState, contexts: np.ndarray):
         self.es = es
         self.contexts = contexts  # (d, m, n)
@@ -132,6 +122,8 @@ class EllipsoidRegion:
         return c, mid, half, quad
 
     def min_linear(self, theta: np.ndarray, p: np.ndarray):
+        """min over region matrices of theta . (V~ p); returns
+        (value, achieved product x = V~ p, per-arm values theta^T V~)."""
         c, mid, half, quad = self._moments(p)
         value = float(theta @ mid - np.abs(theta) @ half)
         x = mid - np.sign(theta) * half
@@ -148,20 +140,193 @@ class EllipsoidRegion:
 
 
 # ---------------------------------------------------------------------------
-# the optimistic step (saddle-point form)
+# the optimistic step
+
+GAP_TOL = 1e-10     # certified optimality gap of an interval-region step
+MAX_ROUNDS = 200    # LP solves per cutting-plane step
+_CUT_FLOOR = 1e-12  # least cut coordinate: sqrt slopes are infinite at 0
 
 
 @dataclass
-class SaddleResult:
+class StepResult:
     feasible: bool
     policy: Optional[PolicyDistribution]
     objective: float
-    g_value: float
     x: Optional[np.ndarray]                 # region point achieving the objective
-    theta_obj: Optional[np.ndarray] = None  # warm-start carriers
+    gap: float = math.nan                   # LP bound - objective; nan for the saddle search
+    rounds: int = 0                         # LP solves of an interval-region step
+    basis: Optional[list] = None            # warm basis (linear objective)
+    theta_obj: Optional[np.ndarray] = None  # saddle warm-start carriers
     theta_feas: Optional[np.ndarray] = None
     p_last: Optional[np.ndarray] = None
-    basis: Optional[list] = None            # warm basis for the lp method
+
+
+def _step_skeleton(d: int, m: int, f: Objective, s: Optional[ConvexSet]) -> dict:
+    """The parts of the interval-region step LP that stay fixed between steps.
+
+    Columns are (p, z_r[, witness][, t+, t-]).  Rows 0..2d keep the reward
+    witness z_r in the achievable box [L p, U p]; the rest say that the box
+    touches S: per-coordinate overlap for a box; for one halfspace, the
+    sign-matched box corner (plus L p <= upper where clipped), exact when the
+    clip is trivial or the normal sign-definite; otherwise an explicit
+    witness in the box and in S, P^T lam with lam in the simplex for a vertex
+    list.  A linear f is the cost on z_r; any other f gets the hypograph
+    column t = t+ - t- (split, as the LP keeps variables nonnegative).
+    """
+    linear = isinstance(f, LinearObjective)
+    explicit = isinstance(s, Halfspaces) and not (
+        s.k == 1 and (np.all(s.upper >= 1.0 - 1e-12) or np.all(s.normals[0] >= 0.0)))
+    n_wit = d if explicit else s.points.shape[0] if isinstance(s, VPolytope) else 0
+    nvar = m + d + n_wit + (0 if linear else 2)
+    cost = np.zeros(nvar)
+    if linear:
+        cost[m:m + d] = f.c
+    else:
+        cost[-2:] = (1.0, -1.0)
+    ws = {"linear": linear, "nvar": nvar, "cost": cost,
+          "paired": explicit or isinstance(s, (Box, VPolytope))}
+    eye = np.eye(d)
+    rhs = [np.zeros(2 * d)]       # one entry per row
+    if isinstance(s, Box):
+        rhs.append(np.concatenate([s.upper, -s.lower]))
+    elif isinstance(s, Halfspaces) and not explicit:
+        clipped = np.flatnonzero(s.upper < 1.0)
+        rhs.extend([s.offsets[:1], s.upper[clipped]])
+        ws.update(clipped=clipped, a_pos=np.maximum(s.normals[0], 0.0),
+                  a_neg=np.minimum(s.normals[0], 0.0))
+    elif explicit:
+        rhs.extend([np.zeros(2 * d), np.concatenate([s.offsets, s.upper])])
+    elif isinstance(s, VPolytope):
+        rhs.append(np.zeros(2 * d))
+    elif s is not None:
+        raise UnsupportedError(f"no step LP for {type(s).__name__} targets")
+    b_ub = np.concatenate(rhs)
+    a_ub = np.zeros((b_ub.size, nvar))
+    a_ub[:d, m:m + d] = -eye
+    a_ub[d:2 * d, m:m + d] = eye
+    wit = slice(m + d, m + d + n_wit)
+    if explicit:
+        a_ub[2 * d:3 * d, wit] = -eye
+        a_ub[3 * d:4 * d, wit] = eye
+        a_ub[4 * d:4 * d + s.k, wit] = s.normals
+        a_ub[4 * d + s.k:, wit] = eye
+    elif isinstance(s, VPolytope):
+        a_ub[2 * d:3 * d, wit] = -s.points.T
+        a_ub[3 * d:4 * d, wit] = s.points.T
+    a_eq = np.zeros((2 if isinstance(s, VPolytope) else 1, nvar))
+    a_eq[0, :m] = 1.0
+    a_eq[1:, wit] = 1.0
+    ws.update(a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=np.ones(a_eq.shape[0]))
+    return ws
+
+
+def _fill_intervals(ws: dict, hc: Hypercube) -> np.ndarray:
+    """Write the step's interval bounds into the cached constraint matrix."""
+    lmat, umat = hc.lcb, hc.ucb
+    d, m = lmat.shape
+    a_ub = ws["a_ub"]
+    a_ub[:d, :m] = lmat
+    a_ub[d:2 * d, :m] = -umat
+    if ws["paired"]:
+        a_ub[2 * d:3 * d, :m] = lmat
+        a_ub[3 * d:4 * d, :m] = -umat
+    elif "clipped" in ws:
+        a_ub[2 * d, :m] = ws["a_pos"] @ lmat + ws["a_neg"] @ umat
+        a_ub[2 * d + 1:, :m] = lmat[ws["clipped"]]
+    return a_ub
+
+
+def _simplex_point(x: np.ndarray) -> np.ndarray:
+    p = np.maximum(x, 0.0)
+    return p / p.sum()
+
+
+def _interval_step(region: HypercubeRegion, f: Objective, s, warm, workspace) -> StepResult:
+    """Exact optimistic step over an interval region.
+
+    For fixed p the achievable set is the box [L p, U p], so the step is the
+    concave program max f(z_r) over the polytope of :func:`_step_skeleton`.
+    A linear f makes it one LP (warm-started from the previous step's basis).
+    Any other f is solved by Kelley's cutting planes: each round adds the cut
+    t <= f(y) + g(y) . (z_r - y) at the previous LP's z_r and stops once the
+    LP bound exceeds the best f(z_r) found by at most GAP_TOL.  Rounds are
+    capped at MAX_ROUNDS; a step that stops above GAP_TOL says so in ``gap``.
+    An infeasible verdict is always phase-1 certified: cuts only bound t.
+    """
+    d, m = region.d, region.m
+    ws = workspace if workspace is not None else {}
+    if "a_ub" not in ws:
+        ws.update(_step_skeleton(d, m, f, s))
+    a_ub = _fill_intervals(ws, region.hc)
+    if ws["linear"]:
+        res = solve_dense_lp(ws["cost"], a_ub=a_ub, b_ub=ws["b_ub"], a_eq=ws["a_eq"],
+                             b_eq=ws["b_eq"], basis=warm.basis if warm is not None else None)
+        if res.status != "optimal":
+            return StepResult(feasible=False, policy=None, objective=math.nan, x=None, rounds=1)
+        p = _simplex_point(res.x[:m])
+        # report the unconstrained-witness objective psi(p) = max over the box
+        lo, hi = region.intervals(p)
+        z_r = np.where(f.c >= 0.0, hi, lo)
+        return StepResult(feasible=True, policy=PolicyDistribution(p), objective=float(f.c @ z_r),
+                          x=z_r, gap=0.0, rounds=1, basis=res.basis)
+
+    # a coordinate whose upper bounds are all 0 is 0 on the whole feasible
+    # set: cut there at 0 with slope 0, whatever f's slope at 0 (sqrt: inf)
+    pinned = ~np.any(region.hc.ucb > 0.0, axis=1)
+    cut_rows, cut_rhs = [], []
+
+    def add_cut(y):
+        g = np.where(pinned, 0.0, f.supergradient(y))
+        row = np.zeros(ws["nvar"])
+        row[m:m + d] = -g
+        row[-2:] = (1.0, -1.0)
+        cut_rows.append(row)
+        cut_rhs.append(f.value(y) - float(g @ y))
+
+    y = np.where(pinned, 0.0, 0.5)
+    add_cut(y)
+    best, lower, upper, last, gap, rounds = None, -math.inf, math.inf, math.inf, math.inf, 0
+    while rounds < MAX_ROUNDS:
+        rounds += 1
+        try:
+            res = solve_dense_lp(ws["cost"], a_ub=np.vstack([a_ub, *cut_rows]),
+                                 b_ub=np.concatenate([ws["b_ub"], cut_rhs]),
+                                 a_eq=ws["a_eq"], b_eq=ws["b_eq"])
+            solved = res.status == "optimal"
+        except RuntimeError:   # the tableau's iteration cap
+            if best is None:
+                raise
+            solved = False
+        # only the first LP can be infeasible, as the cuts bound t alone, and
+        # an added cut cannot raise the bound: a later LP that does either was
+        # misjudged by the tableau, so restart from the newest cut
+        if not solved or res.value > last + 1e-12:
+            if best is None or len(cut_rows) == 1:
+                break
+            del cut_rows[:-1], cut_rhs[:-1]
+            last = math.inf
+            continue
+        last = res.value
+        p = _simplex_point(res.x[:m])
+        lo, hi = region.intervals(p)
+        z = np.clip(res.x[m:m + d], lo, hi)
+        val = f.value(z)
+        if val > lower:
+            best, lower = (p, z), val
+        upper = min(upper, res.value)   # every round's LP relaxes the step
+        gap = max(upper - lower, 0.0)
+        if gap <= GAP_TOL:
+            break
+        # cut points stay inside the domain, where every slope is finite
+        y_next = np.where(pinned, 0.0, np.clip(res.x[m:m + d], _CUT_FLOOR, 1.0))
+        if np.array_equal(y_next, y):
+            break   # the same cut again cannot tighten the bound
+        y = y_next
+        add_cut(y)
+    if best is None:
+        return StepResult(feasible=False, policy=None, objective=math.nan, x=None, rounds=rounds)
+    return StepResult(feasible=True, policy=PolicyDistribution(best[0]), objective=lower,
+                      x=best[1], gap=gap, rounds=rounds)
 
 
 def _eval_psi(region, f: Objective, p, radius, theta0, iters, patience: int = 6):
@@ -277,114 +442,15 @@ def _eval_g_strong(region, s: ConvexSet, p, theta0, iters):
     return best_val, best_theta
 
 
-def _lp_step(region: HypercubeRegion, f: LinearObjective, s, warm_basis=None,
-             workspace: Optional[dict] = None):
-    """Exact optimistic step for linear f over an interval region.
-
-    Maximizes c . z_r with z_r in the achievable box of p, subject to the
-    achievable box touching S; the reward witness and the feasibility
-    witness are independent, as in the original step problem.  For a box
-    target, or a single halfspace, "box touches S" reduces to rows linear in
-    p alone (per-coordinate interval overlap / the sign-matched corner), so
-    the witness variables are eliminated; for several halfspaces an explicit
-    witness point z_c is kept.
-
-    ``workspace`` caches the constraint-matrix skeleton between calls (only
-    the interval blocks change step to step).
-    """
-    d, m = region.d, region.m
-    lmat, umat = region.hc.lcb, region.hc.ucb
-    ws = workspace if workspace is not None else {}
-    if "a_ub" not in ws:
-        # witness elimination is exact for one halfspace when either the clip
-        # box is trivial or the normal is sign-definite; else keep z_c explicit
-        explicit = isinstance(s, Halfspaces) and not (
-            s.k == 1 and (np.all(s.upper >= 1.0 - 1e-12) or np.all(s.normals[0] >= 0.0)))
-        nvar = m + d + (d if explicit else 0)
-        cost = np.zeros(nvar)
-        cost[m:m + d] = f.c
-        eye = np.eye(d)
-        rows = 2 * d
-        rhs = [np.zeros(2 * d)]
-        if isinstance(s, Box):
-            rows += 2 * d
-            rhs.append(np.concatenate([s.upper, -s.lower]))
-        elif isinstance(s, Halfspaces) and not explicit:
-            clipped = np.flatnonzero(s.upper < 1.0)
-            rows += 1 + clipped.size
-            rhs.append(s.offsets[:1])
-            if clipped.size:
-                rhs.append(s.upper[clipped])
-            ws["clipped"] = clipped
-            ws["a_pos"] = np.maximum(s.normals[0], 0.0)
-            ws["a_neg"] = np.minimum(s.normals[0], 0.0)
-        elif explicit:
-            rows += 2 * d + s.k + d
-            rhs.extend([np.zeros(2 * d), np.concatenate([s.offsets, s.upper])])
-        elif s is not None:
-            raise UnsupportedError("lp step requires a box or halfspace target")
-        a_ub = np.zeros((rows, nvar))
-        a_ub[:d, m:m + d] = -eye
-        a_ub[d:2 * d, m:m + d] = eye
-        if isinstance(s, Halfspaces) and explicit:
-            zoff = m + d
-            a_ub[2 * d:3 * d, zoff:zoff + d] = -eye
-            a_ub[3 * d:4 * d, zoff:zoff + d] = eye
-            a_ub[4 * d:4 * d + s.k, zoff:zoff + d] = s.normals
-            a_ub[4 * d + s.k:, zoff:zoff + d] = eye
-        a_eq = np.zeros((1, nvar))
-        a_eq[0, :m] = 1.0
-        ws.update(a_ub=a_ub, b_ub=np.concatenate(rhs), cost=cost, a_eq=a_eq,
-                  explicit=explicit, nvar=nvar)
-    a_ub = ws["a_ub"]
-    a_ub[:d, :m] = lmat
-    a_ub[d:2 * d, :m] = -umat
-    if isinstance(s, Box):
-        a_ub[2 * d:3 * d, :m] = lmat
-        a_ub[3 * d:4 * d, :m] = -umat
-    elif isinstance(s, Halfspaces) and not ws["explicit"]:
-        a_ub[2 * d, :m] = ws["a_pos"] @ lmat + ws["a_neg"] @ umat
-        clipped = ws["clipped"]
-        if clipped.size:
-            a_ub[2 * d + 1:, :m] = lmat[clipped]
-    elif isinstance(s, Halfspaces):
-        a_ub[2 * d:3 * d, :m] = lmat
-        a_ub[3 * d:4 * d, :m] = -umat
-    res = solve_dense_lp(ws["cost"], a_ub=a_ub, b_ub=ws["b_ub"],
-                         a_eq=ws["a_eq"], b_eq=np.ones(1), basis=warm_basis)
-    if res.status != "optimal":
-        return SaddleResult(feasible=False, policy=None, objective=math.nan,
-                            g_value=math.inf, x=None)
-    p = np.maximum(res.x[:m], 0.0)
-    p /= p.sum()
-    # report the unconstrained-witness objective psi(p) = max over the box
-    lo, hi = region.intervals(p)
-    z_r = np.where(f.c >= 0.0, hi, lo)
-    return SaddleResult(feasible=True, policy=PolicyDistribution(p),
-                        objective=float(f.c @ z_r), g_value=0.0, x=z_r,
-                        p_last=p, basis=res.basis)
-
-
-def solve_ucb_step(region, f: Objective, s: Optional[ConvexSet] = None, *,
-                   lipschitz: Optional[float] = None, lam_max: float = 1024.0,
-                   outer_iters: int = 200, inner_iters: int = 15,
-                   final_iters: int = 1500, tol_feas: float = 1e-6,
-                   warm: Optional[SaddleResult] = None, method: str = "auto",
-                   step_scale: float = 0.5, workspace: Optional[dict] = None) -> SaddleResult:
-    """Optimistic step: maximize psi(p) subject to g(p) <= tol_feas.
-
-    Returns the best feasible iterate found (``feasible=False`` when none
-    is); the caller decides what to play in that case.
-    """
+def _saddle_step(region: EllipsoidRegion, f: Objective, s: Optional[ConvexSet], *,
+                 warm: Optional[StepResult] = None, lipschitz: Optional[float] = None,
+                 lam_max: float = 1024.0, outer_iters: int = 200, inner_iters: int = 15,
+                 final_iters: int = 1500, tol_feas: float = 1e-6,
+                 step_scale: float = 0.5) -> StepResult:
+    """Penalized saddle search: projected subgradient on p against
+    psi(p) - lam * max(g(p), 0), lam doubling from 1 to ``lam_max``; the
+    near-feasible iterates are then verified in objective order."""
     radius = f.lipschitz if lipschitz is None else float(lipschitz)
-    linear_ok = (isinstance(f, LinearObjective) and isinstance(region, HypercubeRegion)
-                 and (s is None or isinstance(s, (Box, Halfspaces))))
-    if method == "lp" or (method == "auto" and linear_ok):
-        if not linear_ok:
-            raise ConfigError("lp method requires linear objective over an interval region")
-        warm_basis = getattr(warm, "basis", None) if warm is not None else None
-        return _lp_step(region, f, s, warm_basis=warm_basis, workspace=workspace)
-
     if not math.isfinite(radius):
         raise ConfigError("saddle step needs a finite Lipschitz constant "
                           "(pass lipschitz= explicitly for this objective)")
@@ -428,18 +494,37 @@ def solve_ucb_step(region, f: Objective, s: Optional[ConvexSet] = None, *,
                 ok = g_val <= tol_feas
             if not ok:
                 continue
-        else:
-            g_val = 0.0
-        if f.is_separable and region.has_intervals:
+        if f.is_separable:
             psi_val, theta_b, x, _ = _eval_psi_exact(region, f, cand, radius)
         else:
             psi_val, theta_b, x, _ = _eval_psi(region, f, cand, radius, theta_psi, final_iters)
-        return SaddleResult(feasible=True, policy=PolicyDistribution(cand),
-                            objective=psi_val, g_value=g_val, x=x,
-                            theta_obj=theta_b, theta_feas=theta_g, p_last=cand)
-    return SaddleResult(feasible=False, policy=None, objective=math.nan,
-                        g_value=math.inf, x=None, theta_obj=theta_psi,
-                        theta_feas=theta_g, p_last=p)
+        return StepResult(feasible=True, policy=PolicyDistribution(cand), objective=psi_val,
+                          x=x, theta_obj=theta_b, theta_feas=theta_g, p_last=cand)
+    return StepResult(feasible=False, policy=None, objective=math.nan, x=None,
+                      theta_obj=theta_psi, theta_feas=theta_g, p_last=p)
+
+
+
+
+def solve_ucb_step(region, f: Objective, s: Optional[ConvexSet] = None, *,
+                   warm: Optional[StepResult] = None, workspace: Optional[dict] = None,
+                   **saddle_options) -> StepResult:
+    """Optimistic step: maximize psi(p) = max over the region of f(V~ p)
+    subject to the region touching S; ``feasible=False`` when no p does, and
+    the caller decides what to play then.
+
+    Interval regions get the exact step of :func:`_interval_step`, with
+    ``workspace`` caching its LP skeleton between calls with the same f and
+    S.  Ellipsoid regions (contextual instances) make the step non-convex in
+    (p, z), so they get the penalized saddle search, the only reader of
+    ``saddle_options`` (``lipschitz``, ``lam_max``, ``outer_iters``, ...).
+    """
+    if isinstance(region, HypercubeRegion):
+        if saddle_options:
+            raise ConfigError("solver options apply to the saddle search of "
+                              "ellipsoid regions only")
+        return _interval_step(region, f, s, warm, workspace)
+    return _saddle_step(region, f, s, warm=warm, **saddle_options)
 
 
 # ---------------------------------------------------------------------------

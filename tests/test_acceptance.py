@@ -260,7 +260,7 @@ def test_criterion_04_saddle_solver_vs_grid():
                 target = Box(np.clip(z0 - 0.08, 0, 1), np.clip(z0 + 0.08, 0, 1))
             else:
                 target = Halfspaces([a.tolist()], [lo_reach - 0.05])
-        res = solve_ucb_step(region, f, target, method="saddle")
+        res = solve_ucb_step(region, f, target)
         lo_g = grid @ lcb.T
         hi_g = grid @ ucb.T
         psis = np.zeros(grid.shape[0])

@@ -464,15 +464,24 @@ def test_ucb_bwcr_eps_shrinks_target():
 
 
 def test_saddle_requires_finite_lipschitz():
-    inst = InstanceModel(np.array([[0.2, 0.8]]), "bernoulli")
+    # the saddle search runs over confidence ellipsoids (contextual instances)
+    from bwcr.core import ContextualStructure
+    contexts = np.array([[[0.6, 0.4], [0.3, 0.7]]])
+    weights = np.array([[0.5, 0.6]])
+    ctx_inst = InstanceModel(np.einsum("jin,jn->ji", contexts, weights), "bernoulli",
+                             contextual=ContextualStructure(contexts, weights))
     f = SeparableObjective([{"kind": "sqrt"}])
-    cfg = AlgorithmConfig(variant="ucb_bwcr", horizon=10, objective=f,
-                          constraint_set=Box(np.zeros(1), np.ones(1)))
-    algo = make_algorithm(cfg, inst)
+    box = Box(np.zeros(1), np.ones(1))
+    cfg = AlgorithmConfig(variant="ucb_bwcr", horizon=10, objective=f, constraint_set=box)
+    algo = make_algorithm(cfg, ctx_inst)
     with pytest.raises(ConfigError):
         algo.step(1)
-    cfg2 = AlgorithmConfig(variant="ucb_bwcr", horizon=10, objective=f,
-                           constraint_set=Box(np.zeros(1), np.ones(1)), lipschitz=4.0,
-                           solver=dict(outer_iters=10, inner_iters=5, lam_max=4.0))
-    algo2 = make_algorithm(cfg2, inst)
+    cfg2 = AlgorithmConfig(variant="ucb_bwcr", horizon=10, objective=f, constraint_set=box,
+                           lipschitz=4.0, solver=dict(outer_iters=10, inner_iters=5, lam_max=4.0))
+    algo2 = make_algorithm(cfg2, ctx_inst)
     algo2.step(1)
+    # interval regions need no Lipschitz constant, and take no saddle options
+    inst = InstanceModel(np.array([[0.2, 0.8]]), "bernoulli")
+    make_algorithm(cfg, inst).step(1)
+    with pytest.raises(ConfigError):
+        make_algorithm(cfg2, inst)

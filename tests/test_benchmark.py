@@ -3,17 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from bwcr.benchmark import compute_bwk_opt, compute_opt, regret_trace, simplex_grid
+from bwcr.benchmark import compute_bwk_opt, compute_opt, regret_trace
 from bwcr.core import InstanceModel, RunHistory
 from bwcr.geometry import Box, Halfspaces
 from bwcr.objective import LinearObjective, NegativeDistance, SeparableObjective
-from bwcr.solvers import degenerate_region, solve_ucb_step
-
-
-def test_simplex_grid_sizes():
-    g = simplex_grid(3, 0.1)
-    assert g.shape == (66, 3)
-    assert np.allclose(g.sum(axis=1), 1.0)
 
 
 def test_compute_opt_linear_unconstrained():
@@ -70,19 +63,28 @@ def test_benchmark_dominance_over_fixed_policies():
         assert f.value(z) <= bench.opt_value + 1e-6
 
 
-def test_grid_and_saddle_benchmarks_agree():
+def test_benchmark_vs_grid_oracle():
+    # best feasible point of a 0.001 simplex lattice, evaluated in the test
+    n = 1000
+    i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+    keep = i + j <= n
+    grid = np.stack([i[keep], j[keep], n - i[keep] - j[keep]], axis=1) / n
     rng = np.random.default_rng(1)
     for trial in range(3):
         v = rng.random((2, 3))
         inst = InstanceModel(v, "bernoulli")
-        f = SeparableObjective([{"kind": "quad", "weight": 0.5, "center": float(rng.random())}
-                                for _ in range(2)])
+        centers = rng.random(2)
+        f = SeparableObjective([{"kind": "quad", "weight": 0.5, "center": float(c)}
+                                for c in centers])
         z0 = v @ rng.dirichlet(np.ones(3))
         s = Box(np.clip(z0 - 0.15, 0, 1), np.clip(z0 + 0.15, 0, 1))
-        grid_bench = compute_opt(inst, f, s)           # m = 3: grid path
-        saddle = solve_ucb_step(degenerate_region(v), f, s, method="saddle")
-        assert grid_bench.feasible and saddle.feasible
-        assert abs(grid_bench.opt_value - saddle.objective) <= 1e-2
+        bench = compute_opt(inst, f, s)
+        z = grid @ v.T
+        feas = np.all((z >= s.lower) & (z <= s.upper), axis=1)
+        vals = (0.5 * (1.0 - (z - centers) ** 2)).sum(axis=1)
+        assert bench.feasible and feas.any()
+        assert abs(bench.opt_value - vals[feas].max()) <= 1e-2
+        assert bench.opt_value >= vals[feas].max() - 1e-9    # exact, so never below the grid
 
 
 def test_large_m_uses_saddle_path():
@@ -100,8 +102,7 @@ def _history(obs, arms=None):
     obs = np.asarray(obs, dtype=float)
     n = obs.shape[0]
     return RunHistory(observations=obs,
-                      arms=np.zeros(n, dtype=np.int64) if arms is None else arms,
-                      policies=np.full((n, 1), 1.0))
+                      arms=np.zeros(n, dtype=np.int64) if arms is None else arms)
 
 
 def test_regret_trace_zero_at_fixed_optimum():

@@ -138,6 +138,17 @@ def test_supergradient_inequality():
             assert f.value(y) <= f.value(x) + float(g @ (y - x)) + 1e-9
 
 
+def test_neg_distance_supergradient_box_norms():
+    rng = np.random.default_rng(51)
+    box = Box(np.array([0.2, 0.3, 0.1]), np.array([0.5, 0.6, 0.4]))
+    for norm in ("l1", "linf"):
+        f = NegativeDistance(box, NormPair(norm))
+        for _ in range(200):
+            x, y = rng.random(3), rng.random(3)
+            g = f.supergradient(x)
+            assert f.value(y) <= f.value(x) + float(g @ (y - x)) + 1e-12
+
+
 def test_lipschitz_constants():
     f = LinearObjective(np.array([0.3, -0.4]))
     assert f.lipschitz == pytest.approx(0.5)

@@ -3,14 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bwcr.confidence import Hypercube
 from bwcr.errors import ConfigError
-from bwcr.geometry import Box
+from bwcr.geometry import Box, Halfspaces, VPolytope
 from bwcr.lp import solve_dense_lp
-from bwcr.objective import LinearObjective, SeparableObjective
-from bwcr.solvers import (EllipsoidRegion, HypercubeRegion, LpProblem, degenerate_region,
-                          entropic_step, make_oco, ogd_step, solve_lp, solve_ucb_step)
+from bwcr.objective import LinearObjective, NegativeDistance, SeparableObjective
+from bwcr.solvers import (GAP_TOL, EllipsoidRegion, HypercubeRegion, LpProblem,
+                          degenerate_region, entropic_step, make_oco, ogd_step, solve_lp,
+                          solve_ucb_step)
 
 
 def lp_vertex_oracle(r, c, beta):
@@ -132,13 +136,7 @@ def test_ucb_step_infeasible_contract():
 
 def test_ucb_step_saddle_vs_grid_small():
     rng = np.random.default_rng(3)
-    step = 0.01
-    grid = []
-    n = round(1 / step)
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            grid.append((i * step, j * step, 1 - i * step - j * step))
-    grid = np.array(grid)
+    grid = _simplex_grid_m3()
     for trial in range(6):
         d, m = 2, 3
         v = rng.random((d, m))
@@ -150,7 +148,7 @@ def test_ucb_step_saddle_vs_grid_small():
         p0 = rng.dirichlet(np.ones(m))
         z0 = 0.5 * (hc.lcb + hc.ucb) @ p0
         s = Box(np.clip(z0 - 0.1, 0, 1), np.clip(z0 + 0.1, 0, 1))
-        res = solve_ucb_step(region, f, s, method="saddle")
+        res = solve_ucb_step(region, f, s)
         assert res.feasible
         lo = grid @ hc.lcb.T
         hi = grid @ hc.ucb.T
@@ -175,14 +173,15 @@ def test_ucb_step_monotone_in_widening():
         p0 = rng.dirichlet(np.ones(m))
         z0 = v @ p0
         s = Box(np.clip(z0 - 0.2, 0, 1), np.clip(z0 + 0.2, 0, 1))
-        narrow_res = solve_ucb_step(HypercubeRegion(hc), f, s, method="saddle")
-        wide_res = solve_ucb_step(HypercubeRegion(wide), f, s, method="saddle")
+        narrow_res = solve_ucb_step(HypercubeRegion(hc), f, s)
+        wide_res = solve_ucb_step(HypercubeRegion(wide), f, s)
         assert narrow_res.feasible and wide_res.feasible
         assert wide_res.objective >= narrow_res.objective - 1e-6
 
 
-def test_ucb_step_lp_matches_saddle_linear():
+def test_ucb_step_linear_vs_grid():
     rng = np.random.default_rng(5)
+    grid = _simplex_grid_m3()
     for trial in range(5):
         d, m = 2, 3
         lcb = rng.random((d, m)) * 0.5
@@ -192,10 +191,196 @@ def test_ucb_step_lp_matches_saddle_linear():
         p0 = rng.dirichlet(np.ones(m))
         z0 = 0.5 * (lcb + ucb) @ p0
         s = Box(np.clip(z0 - 0.12, 0, 1), np.clip(z0 + 0.12, 0, 1))
-        r_lp = solve_ucb_step(region, f, s, method="lp")
-        r_sad = solve_ucb_step(region, f, s, method="saddle")
-        assert r_lp.feasible and r_sad.feasible
-        assert abs(r_lp.objective - r_sad.objective) <= 1e-2
+        res = solve_ucb_step(region, f, s)
+        lo, hi = grid @ lcb.T, grid @ ucb.T
+        psis = np.where(f.c >= 0, hi, lo) @ f.c
+        feas = np.all((hi >= s.lower) & (lo <= s.upper), axis=1)
+        assert res.feasible and feas.any()
+        assert abs(res.objective - psis[feas].max()) <= 1e-2
+
+
+def _simplex_grid_m3(step=0.01):
+    n = round(1 / step)
+    return np.array([(i * step, j * step, 1 - i * step - j * step)
+                     for i in range(n + 1) for j in range(n + 1 - i)])
+
+
+def _random_region(rng, d, m, width=0.25):
+    v = rng.random((d, m))
+    w = rng.random((d, m)) * width
+    lcb, ucb = np.clip(v - w, 0, 1), np.clip(v + w, 0, 1)
+    return lcb, ucb, HypercubeRegion(Hypercube(lcb=lcb, ucb=ucb))
+
+
+def _box_touches_triangle(lo, hi, tri):
+    """Separating-axis test of each box [lo_k, hi_k] against a triangle in the plane."""
+    axes = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        edge = tri[b] - tri[a]
+        axes.append(np.array([-edge[1], edge[0]]))
+    touches = np.ones(lo.shape[0], dtype=bool)
+    for ax in axes:
+        box_min = np.minimum(lo * ax, hi * ax).sum(axis=1)
+        box_max = np.maximum(lo * ax, hi * ax).sum(axis=1)
+        proj = tri @ ax
+        touches &= (box_max >= proj.min() - 1e-12) & (box_min <= proj.max() + 1e-12)
+    return touches
+
+
+def test_ucb_step_vertex_target_vs_grid():
+    rng = np.random.default_rng(11)
+    grid = _simplex_grid_m3()
+    verdicts = set()
+    for trial in range(8):
+        lcb, ucb, region = _random_region(rng, 2, 3)
+        centers = rng.random(2)
+        f = SeparableObjective([{"kind": "quad", "weight": 0.5, "center": float(c)}
+                                for c in centers])
+        tri = rng.random((3, 2))
+        res = solve_ucb_step(region, f, VPolytope(tri))
+        lo, hi = grid @ lcb.T, grid @ ucb.T
+        feas = _box_touches_triangle(lo, hi, tri)
+        assert res.feasible == bool(feas.any())
+        verdicts.add(res.feasible)
+        if res.feasible:
+            assert res.gap <= GAP_TOL
+            psis = (0.5 * (1 - (np.clip(centers, lo, hi) - centers) ** 2)).sum(axis=1)
+            assert abs(res.objective - psis[feas].max()) <= 1e-2
+    assert verdicts == {True, False}
+
+
+def test_ucb_step_neg_distance_vs_grid():
+    rng = np.random.default_rng(12)
+    grid = _simplex_grid_m3()
+    for trial in range(6):
+        lcb, ucb, region = _random_region(rng, 2, 3, width=0.1)
+        goal_lo = rng.random(2) * 0.5
+        goal = Box(goal_lo, goal_lo + 0.1)
+        f = NegativeDistance(goal)
+        z0 = 0.5 * (lcb + ucb) @ rng.dirichlet(np.ones(3))
+        s = Box(np.clip(z0 - 0.1, 0, 1), np.clip(z0 + 0.1, 0, 1))
+        res = solve_ucb_step(region, f, s)
+        lo, hi = grid @ lcb.T, grid @ ucb.T
+        # psi(p) = -(distance between the achievable box and the goal box)
+        psis = -np.linalg.norm(np.maximum(goal.lower - hi, 0) + np.maximum(lo - goal.upper, 0),
+                               axis=1)
+        feas = np.all((hi >= s.lower) & (lo <= s.upper), axis=1)
+        assert res.feasible and feas.any()
+        assert res.gap <= GAP_TOL
+        assert abs(res.objective - psis[feas].max()) <= 1e-2
+
+
+def test_ucb_step_sqrt_objective_vs_grid():
+    # sqrt is not Lipschitz on [0, 1] and no override is given: the cutting
+    # planes need none
+    rng = np.random.default_rng(13)
+    grid = _simplex_grid_m3()
+    for trial in range(6):
+        lcb, ucb, region = _random_region(rng, 2, 3)
+        weights = rng.random(2) + 0.1
+        f = SeparableObjective([{"kind": "sqrt", "weight": float(w)} for w in weights])
+        assert not math.isfinite(f.lipschitz)
+        a = rng.random(2) + 0.2
+        z0 = 0.5 * (lcb + ucb) @ rng.dirichlet(np.ones(3))
+        s = Halfspaces([a.tolist()], [float(a @ z0)])
+        res = solve_ucb_step(region, f, s)
+        lo, hi = grid @ lcb.T, grid @ ucb.T
+        psis = np.sqrt(hi) @ weights
+        feas = lo @ a <= s.offsets[0]
+        assert res.feasible and feas.any()
+        assert res.gap <= GAP_TOL
+        assert abs(res.objective - psis[feas].max()) <= 1e-2
+
+
+def _feasibility_lp(lcb, ucb, s):
+    """Does the box [L p, U p] touch S for some p in the simplex?  An LP in
+    (p, z[, lam]) with the witness z kept explicit for every target kind."""
+    d, m = lcb.shape
+    k = s.points.shape[0] if isinstance(s, VPolytope) else 0
+    n = m + d + k
+    eye = np.eye(d)
+    a_ub = [np.hstack([lcb, -eye, np.zeros((d, k))]), np.hstack([-ucb, eye, np.zeros((d, k))])]
+    b_ub = [np.zeros(d), np.zeros(d)]
+    a_eq = [np.concatenate([np.ones(m), np.zeros(d + k)])[None, :]]
+    b_eq = [np.ones(1)]
+    if isinstance(s, Box):
+        a_ub += [np.hstack([np.zeros((d, m)), eye]), np.hstack([np.zeros((d, m)), -eye])]
+        b_ub += [s.upper, -s.lower]
+    elif isinstance(s, Halfspaces):
+        a_ub += [np.hstack([np.zeros((s.k, m)), s.normals]), np.hstack([np.zeros((d, m)), eye])]
+        b_ub += [s.offsets, s.upper]
+    elif isinstance(s, VPolytope):
+        a_eq += [np.hstack([np.zeros((d, m)), eye, -s.points.T]),
+                 np.concatenate([np.zeros(m + d), np.ones(k)])[None, :]]
+        b_eq += [np.zeros(d), np.ones(1)]
+    res = solve_dense_lp(np.zeros(n), a_ub=np.vstack(a_ub), b_ub=np.concatenate(b_ub),
+                         a_eq=np.vstack(a_eq), b_eq=np.concatenate(b_eq))
+    return res.status == "optimal"
+
+
+# data on a 1e-3 lattice, 0 and 1 included: lp.py pivots on entries down to
+# 1e-11, and bound entries far below 1e-6 can make it misjudge feasibility
+_unit = st.integers(0, 1000).map(lambda k: k / 1000)
+
+
+def _lattice(shape, lo=0.0, hi=1.0):
+    return hnp.arrays(float, shape, elements=_unit.map(lambda u: lo + (hi - lo) * u))
+
+
+@st.composite
+def _step_problems(draw):
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4))
+    a = draw(_lattice((d, m)))
+    b = draw(_lattice((d, m)))
+    lcb, ucb = np.minimum(a, b), np.maximum(a, b)
+    kind = draw(st.sampled_from(["none", "box", "halfspaces", "vertices"]))
+    if kind == "box":
+        lo = draw(_lattice(d))
+        hi = draw(_lattice(d))
+        s = Box(np.minimum(lo, hi), np.maximum(lo, hi))
+    elif kind == "halfspaces":
+        k = draw(st.integers(1, 2))
+        normals = draw(_lattice((k, d), -1.0, 1.0))
+        offsets = draw(_lattice(k, 0.0, 1.5))  # 0 is in S
+        upper = draw(_lattice(d, 0.2, 1.0))
+        s = Halfspaces(normals, offsets, upper)
+    elif kind == "vertices":
+        s = VPolytope(draw(_lattice((draw(st.integers(1, 3)), d))))
+    else:
+        s = None
+    fkind = draw(st.sampled_from(["linear", "separable", "neg_distance"]))
+    if fkind == "linear":
+        f = LinearObjective(draw(_lattice(d, -1.0, 1.0)))
+    elif fkind == "separable":
+        f = SeparableObjective([{"kind": draw(st.sampled_from(["quad", "log1p", "sqrt"])),
+                                 "weight": draw(_unit.map(lambda u: 0.1 + 1.9 * u)),
+                                 "center": draw(_unit)} for _ in range(d)])
+    else:
+        lo = draw(_lattice(d))
+        hi = draw(_lattice(d))
+        f = NegativeDistance(Box(np.minimum(lo, hi), np.maximum(lo, hi)))
+    return lcb, ucb, s, f, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_step_problems())
+def test_ucb_step_certified_property(problem):
+    lcb, ucb, s, f, seed = problem
+    res = solve_ucb_step(HypercubeRegion(Hypercube(lcb=lcb, ucb=ucb)), f, s)
+    assert res.feasible == (s is None or _feasibility_lp(lcb, ucb, s))
+    if not res.feasible:
+        return
+    assert res.gap <= GAP_TOL
+    # no region matrix at any sampled mixture beats the certified optimum
+    rng = np.random.default_rng(seed)
+    d, m = lcb.shape
+    for _ in range(50):
+        p = rng.dirichlet(np.ones(m))
+        z = (lcb + rng.random((d, m)) * (ucb - lcb)) @ p
+        if s is None or s.contains(z, tol=0.0):
+            assert f.value(z) <= res.objective + res.gap + 1e-9
 
 
 def test_ucb_step_ellipsoid_region():
@@ -211,7 +396,7 @@ def test_ucb_step_ellipsoid_region():
     region = EllipsoidRegion(es, contexts)
     v = np.einsum("jin,jn->ji", contexts, w)
     f = LinearObjective(np.ones(d))
-    res = solve_ucb_step(region, f, None, method="saddle")
+    res = solve_ucb_step(region, f, None)
     direct = solve_ucb_step(degenerate_region(v), f, None)
     assert abs(res.objective - direct.objective) <= 1e-3
 
