@@ -278,6 +278,7 @@ class DualOcoStepper(_StepperBase):
         grad_bound = math.sqrt(self.d) if config.oco_kind == "ogd" else 1.0
         self.oco = make_oco(config.oco_kind, self.d, self.radius, grad_bound)
         self._x_t = None
+        self._workspace: dict = {}   # warm state of f*'s support LP, this run's own
 
     def step(self, t: int):
         hc = self._hypercube()
@@ -289,7 +290,7 @@ class DualOcoStepper(_StepperBase):
         return self._points[arm]
 
     def _after_observe(self, arm, observation):
-        grad = self.f.conjugate_argmax(self.oco.theta) - self._x_t
+        grad = self.f.conjugate_argmax(self.oco.theta, self._workspace) - self._x_t
         if self.oco.kind == "ogd":
             self.oco = ogd_step(self.oco, grad)
         else:
@@ -417,6 +418,7 @@ class CombinedStepper(_StepperBase):
         self.xbar_theta: Optional[np.ndarray] = None
         self.zbar_phi: Optional[np.ndarray] = None
         self._n_obs = 0
+        self._phi_workspace: dict = {}   # warm state of h_S(phi)'s support LP
 
     def step(self, t: int):
         hc = self._hypercube()
@@ -424,7 +426,7 @@ class CombinedStepper(_StepperBase):
         w_phi = vertex(hc, self.phi)
         cost = self.theta @ w_theta
         load = self.phi @ w_phi
-        cap = self.s.support(self.phi)
+        cap = self.s.support(self.phi, self._phi_workspace)
         p = _simplex_one_constraint(cost, load, cap, self.config.allow_idle)
         if p is None:
             pol = self._uniform
@@ -456,7 +458,7 @@ class CombinedStepper(_StepperBase):
 
         upd = self.config.phi_update
         if upd == "dual":
-            grad = self.s.support_point(self.oco_phi.theta) - self._z_phi
+            grad = self.s.support_point(self.oco_phi.theta, self._phi_workspace) - self._z_phi
             self.oco_phi = (ogd_step if self.oco_phi.kind == "ogd" else entropic_step)(
                 self.oco_phi, grad)
             self.phi = self.oco_phi.theta

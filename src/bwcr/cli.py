@@ -5,7 +5,7 @@
     bwcr verify
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 generation
-error.
+error, 4 solver iteration limit, 5 unsupported operation.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, GenerationError
+from .errors import ConfigError, GenerationError, SolverLimitError, UnsupportedError
 
 
 def _cmd_simulate(args) -> int:
@@ -75,6 +75,19 @@ def _verify_checks():
         res = solve_lp(LpProblem(np.array([1.0, 0.5]), np.array([[1.0, 0.0]]), 0.5))
         return res.status == "optimal" and abs(res.value - 0.75) < 1e-9
 
+    def check_lp_warm():
+        # the knapsack example resolved after a reward change that keeps its
+        # basis optimal, then after one that does not; warm must match cold
+        first = solve_lp(LpProblem(np.array([1.0, 0.5]), np.array([[1.0, 0.0]]), 0.5))
+        for rewards in ([0.9, 0.6], [0.2, 0.7]):
+            problem = LpProblem(np.array(rewards), np.array([[1.0, 0.0]]), 0.5)
+            warm = solve_lp(problem, warm_basis=first.basis)
+            cold = solve_lp(problem)
+            if (warm.status != cold.status or abs(warm.value - cold.value) > 1e-12
+                    or not np.allclose(warm.policy.weights, cold.policy.weights, atol=1e-12)):
+                return False
+        return True
+
     def check_smoothing():
         s = Box(np.zeros(1), np.array([0.5]))
         v1, g1 = smoothed_distance(np.array([0.8]), s, 0.1)
@@ -109,6 +122,7 @@ def _verify_checks():
         ("confidence radius arithmetic", check_rad),
         ("vertex corner optimality", check_vertex),
         ("lp solver on the knapsack example", check_lp),
+        ("warm LP resolve agrees with cold", check_lp_warm),
         ("smoothed distance closed forms", check_smoothing),
         ("fenchel duality gap (linear)", check_duality),
         ("ogd regret bound", check_ogd_regret),
@@ -161,6 +175,12 @@ def main(argv=None) -> int:
     except GenerationError as exc:
         print(f"generation error: {exc}", file=sys.stderr)
         return 3
+    except SolverLimitError as exc:
+        print(f"solver limit: {exc}", file=sys.stderr)
+        return 4
+    except UnsupportedError as exc:
+        print(f"unsupported: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -11,3 +11,7 @@ class GenerationError(RuntimeError):
 
 class UnsupportedError(RuntimeError):
     """The requested operation is not available for this representation."""
+
+
+class SolverLimitError(RuntimeError):
+    """A solver hit its iteration cap before reaching a verdict."""

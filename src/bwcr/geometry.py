@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -88,10 +89,14 @@ class ConvexSet:
 
     dim: int
 
-    def support(self, theta: np.ndarray) -> float:
+    def support(self, theta: np.ndarray, workspace: Optional[dict] = None) -> float:
+        """h_S(theta) = max over S of theta . x.  ``workspace`` is warm state
+        that the caller owns and passes back on its next call (a support LP's
+        basis); sets answered in closed form ignore it."""
         raise NotImplementedError
 
-    def support_point(self, theta: np.ndarray) -> np.ndarray:
+    def support_point(self, theta: np.ndarray, workspace: Optional[dict] = None) -> np.ndarray:
+        """A maximizer of theta . x over S; ``workspace`` as for :meth:`support`."""
         raise NotImplementedError
 
     def project(self, x: np.ndarray) -> np.ndarray:
@@ -130,11 +135,11 @@ class Box(ConvexSet):
             raise ValueError("box must lie inside [0, 1]^d")
         self.dim = self.lower.shape[0]
 
-    def support(self, theta):
+    def support(self, theta, workspace=None):
         theta = np.asarray(theta, dtype=float)
         return float(np.sum(np.where(theta >= 0.0, theta * self.upper, theta * self.lower)))
 
-    def support_point(self, theta):
+    def support_point(self, theta, workspace=None):
         theta = np.asarray(theta, dtype=float)
         return np.where(theta >= 0.0, self.upper, self.lower)
 
@@ -183,12 +188,11 @@ class Halfspaces(ConvexSet):
         self.upper = np.ones(self.dim) if upper is None else np.asarray(upper, dtype=float)
         if np.any(self.upper > 1.0 + 1e-12) or np.any(self.upper < 0.0):
             raise ValueError("upper bound must lie in [0, 1]")
-        # nonempty check: the box corner minimizing every row must exist;
-        # verify the componentwise-min corner of each row is attainable jointly
+        # the support LP's rows, {normals x <= offsets, x <= upper}
+        self._lp_rows = np.vstack([self.normals, np.eye(self.dim)])
+        self._lp_rhs = np.concatenate([self.offsets, self.upper])
         if self.normals.shape[0] and solve_dense_lp(
-            np.zeros(self.dim),
-            a_ub=np.vstack([self.normals, np.eye(self.dim)]),
-            b_ub=np.concatenate([self.offsets, self.upper]),
+            np.zeros(self.dim), a_ub=self._lp_rows, b_ub=self._lp_rhs,
         ).status != "optimal":
             raise ValueError("empty halfspace intersection")
 
@@ -196,22 +200,25 @@ class Halfspaces(ConvexSet):
     def k(self) -> int:
         return self.normals.shape[0]
 
-    def support(self, theta):
-        return self._support_impl(np.asarray(theta, dtype=float))[0]
+    def support(self, theta, workspace=None):
+        return self._support_impl(np.asarray(theta, dtype=float), workspace)[0]
 
-    def support_point(self, theta):
-        return self._support_impl(np.asarray(theta, dtype=float))[1]
+    def support_point(self, theta, workspace=None):
+        return self._support_impl(np.asarray(theta, dtype=float), workspace)[1]
 
-    def _support_impl(self, theta):
+    def _support_impl(self, theta, workspace):
         if self.k == 1:
             return self._support_knapsack(theta, self.normals[0], self.offsets[0])
-        res = solve_dense_lp(
-            theta,
-            a_ub=np.vstack([self.normals, np.eye(self.dim)]),
-            b_ub=np.concatenate([self.offsets, self.upper]),
-        )
+        # only the cost changes between calls, so the caller's last basis is
+        # always primal feasible: the LP certifies it or pivots from it.  The
+        # basis lives in the caller's workspace, never on the set, which runs
+        # with different seeds share.
+        ws = {} if workspace is None else workspace
+        res = solve_dense_lp(theta, a_ub=self._lp_rows, b_ub=self._lp_rhs,
+                             basis=ws.get("basis"))
         if res.status != "optimal":
             raise ValueError("support LP failed; set invalid")
+        ws["basis"] = res.basis
         return res.value, res.x
 
     def _support_knapsack(self, theta, a, b):
@@ -329,10 +336,10 @@ class VPolytope(ConvexSet):
         self.dim = self.points.shape[1]
         self.downward_closed = downward_closed
 
-    def support(self, theta):
+    def support(self, theta, workspace=None):
         return float(np.max(self.points @ np.asarray(theta, dtype=float)))
 
-    def support_point(self, theta):
+    def support_point(self, theta, workspace=None):
         vals = self.points @ np.asarray(theta, dtype=float)
         return self.points[int(np.argmax(vals))].copy()
 

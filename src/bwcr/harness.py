@@ -372,6 +372,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
             "final_areg1": None if trace.areg1 is None else float(trace.areg1[-1]),
             "final_areg2": None if trace.areg2 is None else float(trace.areg2[-1]),
             "reg_bwk": trace.reg_total,
+            # steps with no feasible optimistic play (ucb_bwcr only)
+            "infeasible_steps": getattr(history.algorithm, "infeasible_steps", None),
         })
 
     summary = {

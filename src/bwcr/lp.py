@@ -4,10 +4,18 @@ Solves   max/min  c . x   s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0.
 
 Pivoting uses Bland's rule (lowest eligible index) for both the entering and
 leaving choices, which rules out cycling.  Instances here are tiny (tens of
-variables), so the plain dense tableau is the right tool; a previously
-optimal basis can be passed back in to skip phase 1 when resolving a nearby
+variables), so the plain dense tableau is the right tool.
+
+A previously optimal basis can be passed back in when resolving a nearby
 problem (the per-step LPs of the bandit algorithms change only slightly
-between steps).
+between steps).  The warm start is certify-or-pivot: one inverse of the
+basis matrix gives x_B = B^-1 b, the duals y = c_B B^-1 and the reduced costs
+c - y A.  A basis that is primal feasible and passes Bland's optimality test
+is returned as it is, with no tableau; one that is feasible but not optimal
+starts phase 2 from B^-1 [A | b]; any other falls back to the cold phase 1.
+The warm basis belongs to the caller: it is passed in and handed back in
+:class:`LpResult`, never kept here, so runs that share problem data do not
+share warm state (see ``Halfspaces.support``'s ``workspace``).
 """
 from __future__ import annotations
 
@@ -16,8 +24,11 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import SolverLimitError
+
 _TOL = 1e-9
 _PIV_TOL = 1e-11
+_FEAS_TOL = 1e-9    # least basic value a warm basis may carry and stay feasible
 
 
 @dataclass
@@ -28,6 +39,7 @@ class LpResult:
     basis: Optional[list] = None   # column indices incl. slacks, reusable as warm start
     y_ub: Optional[np.ndarray] = None
     y_eq: Optional[np.ndarray] = None
+    pivots: int = 0                # simplex pivots made, both phases
 
 
 def _pivot(tableau: np.ndarray, basis: list, row: int, col: int):
@@ -39,22 +51,22 @@ def _pivot(tableau: np.ndarray, basis: list, row: int, col: int):
 
 
 def _bland_iterate(tableau: np.ndarray, basis: list, cost: np.ndarray, allowed: np.ndarray,
-                   max_iter: int = 20_000) -> str:
-    """Run simplex iterations maximizing ``cost`` over columns in ``allowed``.
+                   max_iter: int = 20_000) -> tuple:
+    """Run simplex iterations maximizing ``cost`` over columns in ``allowed``;
+    returns (status, pivots made).
 
     ``cost`` is mutated in place into the reduced-cost row.
     """
-    n_rows = tableau.shape[0]
-    for _ in range(max_iter):
+    for pivots in range(max_iter):
         # reduced costs: positive entries improve the (maximization) objective
         candidates = np.flatnonzero(allowed & (cost[:-1] > _TOL))
         if candidates.size == 0:
-            return "optimal"
+            return "optimal", pivots
         col = int(candidates[0])  # Bland: lowest index enters
         colvals = tableau[:, col]
         rows = np.flatnonzero(colvals > _PIV_TOL)
         if rows.size == 0:
-            return "unbounded"
+            return "unbounded", pivots
         ratios = tableau[rows, -1] / colvals[rows]
         best = ratios.min()
         tied = rows[ratios <= best + 1e-12]
@@ -62,7 +74,7 @@ def _bland_iterate(tableau: np.ndarray, basis: list, cost: np.ndarray, allowed: 
         row = int(tied[np.argmin([basis[r] for r in tied])])
         _pivot(tableau, basis, row, col)
         cost -= cost[col] * tableau[row]
-    raise RuntimeError("simplex iteration limit exceeded")
+    raise SolverLimitError(f"simplex iteration limit ({max_iter} pivots) exceeded")
 
 
 def solve_dense_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
@@ -93,21 +105,50 @@ def solve_dense_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
 
     full_cost = np.concatenate([obj, np.zeros(k_ub)])
 
+    def finish(basis_list, x_basic, pivots, y=None):
+        x_full = np.zeros(n_cols)
+        x_full[basis_list] = x_basic
+        x = x_full[:n]
+        value = float(obj @ x)
+        # duals from the final basis: y solves B^T y = c_B (in the flipped system)
+        y_ub = y_eq = None
+        if need_duals and len(basis_list) == n_rows:
+            try:
+                if y is None:
+                    y = np.linalg.solve(big_a[:, basis_list].T, full_cost[basis_list]) \
+                        if basis_list else np.zeros(0)
+                y = y.copy()
+                y[flips] *= -1.0
+                y_ub, y_eq = y[:k_ub], y[k_ub:]
+            except np.linalg.LinAlgError:
+                pass
+        if not maximize:
+            value = -value
+            if y_ub is not None:
+                y_ub, y_eq = -y_ub, -y_eq
+        return LpResult(status="optimal", x=x, value=value, basis=list(basis_list),
+                        y_ub=y_ub, y_eq=y_eq, pivots=pivots)
+
     tableau = None
-    basis_list = None
     if basis is not None and len(basis) == n_rows and all(0 <= j < n_cols for j in basis):
-        b_mat = big_a[:, list(basis)]
+        basis_list = list(basis)
         try:
-            binv = np.linalg.inv(b_mat)
+            binv = np.linalg.inv(big_a[:, basis_list])
         except np.linalg.LinAlgError:
             binv = None
         if binv is not None:
             xb = binv @ rhs
-            if np.all(xb >= -1e-9):
+            if np.all(xb >= -_FEAS_TOL):
+                xb = np.maximum(xb, 0.0)
+                y = full_cost[basis_list] @ binv
+                reduced = full_cost - y @ big_a
+                if not np.any(reduced > _TOL):
+                    # still optimal: Bland's test passes with no pivot to make
+                    return finish(basis_list, xb, 0, y)
                 tableau = np.hstack([binv @ big_a, xb[:, None]])
-                tableau[:, -1] = np.maximum(tableau[:, -1], 0.0)
-                basis_list = list(basis)
+                cost2 = np.append(reduced, -float(y @ rhs))
 
+    pivots = 0
     if tableau is None:
         # phase 1: identity from artificials, minimize their sum
         n_art = n_rows
@@ -122,11 +163,11 @@ def solve_dense_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
         for r in range(n_rows):
             cost1 -= cost1[basis_list[r]] * t1[r]
         allowed1 = np.ones(n_cols + n_art, dtype=bool)
-        status = _bland_iterate(t1, basis_list, cost1, allowed1)
+        status, pivots = _bland_iterate(t1, basis_list, cost1, allowed1)
         # cost row rhs carries minus the phase-1 objective; positive means
         # artificials could not be driven to zero
         if status != "optimal" or cost1[-1] > 1e-7:
-            return LpResult(status="infeasible")
+            return LpResult(status="infeasible", pivots=pivots)
         # drive leftover artificials out of the basis where possible
         keep_rows = []
         for r in range(n_rows):
@@ -134,6 +175,7 @@ def solve_dense_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
                 piv_cols = np.flatnonzero(np.abs(t1[r, :n_cols]) > 1e-9)
                 if piv_cols.size:
                     _pivot(t1, basis_list, r, int(piv_cols[0]))
+                    pivots += 1
                     keep_rows.append(r)
                 # else: redundant row, dropped below
             else:
@@ -141,38 +183,14 @@ def solve_dense_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
         t1 = t1[keep_rows]
         basis_list = [basis_list[r] for r in keep_rows]
         tableau = np.hstack([t1[:, :n_cols], t1[:, -1:]])
+        cost2 = np.concatenate([full_cost, [0.0]])
+        for r in range(tableau.shape[0]):
+            cost2 -= cost2[basis_list[r]] * tableau[r]
 
     # phase 2
-    cost2 = np.concatenate([full_cost, [0.0]])
-    for r in range(tableau.shape[0]):
-        cost2 -= cost2[basis_list[r]] * tableau[r]
     allowed2 = np.ones(n_cols, dtype=bool)
-    status = _bland_iterate(tableau, basis_list, cost2, allowed2)
+    status, pivots2 = _bland_iterate(tableau, basis_list, cost2, allowed2)
+    pivots += pivots2
     if status == "unbounded":
-        return LpResult(status="unbounded")
-
-    x_full = np.zeros(n_cols)
-    for r, j in enumerate(basis_list):
-        x_full[j] = tableau[r, -1]
-    x = x_full[:n]
-    value = float(obj @ x)
-
-    # duals from the final basis: y solves B^T y = c_B (in the flipped system)
-    y_ub = y_eq = None
-    if need_duals:
-        try:
-            b_mat = big_a[:, basis_list]
-            y = np.linalg.solve(b_mat.T, full_cost[basis_list]) if basis_list else np.zeros(0)
-            if len(basis_list) == n_rows:
-                y = y.copy()
-                y[flips] *= -1.0
-                y_ub, y_eq = y[:k_ub], y[k_ub:]
-        except np.linalg.LinAlgError:
-            pass
-
-    if not maximize:
-        value = -value
-        if y_ub is not None:
-            y_ub, y_eq = -y_ub, -y_eq
-    return LpResult(status="optimal", x=x, value=value, basis=list(basis_list),
-                    y_ub=y_ub, y_eq=y_eq)
+        return LpResult(status="unbounded", pivots=pivots)
+    return finish(basis_list, tableau[:, -1], pivots)

@@ -49,10 +49,12 @@ class Objective:
     def supergradient(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def conjugate(self, theta: np.ndarray) -> float:
+    def conjugate(self, theta: np.ndarray, workspace: Optional[dict] = None) -> float:
+        """f*(theta); ``workspace`` is caller-owned warm state, used where the
+        conjugate is an LP (``NegativeDistance`` over halfspaces)."""
         raise NotImplementedError
 
-    def conjugate_argmax(self, theta: np.ndarray) -> np.ndarray:
+    def conjugate_argmax(self, theta: np.ndarray, workspace: Optional[dict] = None) -> np.ndarray:
         raise NotImplementedError
 
     def conjugate_components(self, thetas: np.ndarray) -> np.ndarray:
@@ -85,10 +87,10 @@ class LinearObjective(Objective):
         _clip_domain(x)
         return self.c.copy()
 
-    def conjugate(self, theta):
+    def conjugate(self, theta, workspace=None):
         return float(np.sum(np.maximum(np.asarray(theta, dtype=float) + self.c, 0.0)))
 
-    def conjugate_argmax(self, theta):
+    def conjugate_argmax(self, theta, workspace=None):
         return (np.asarray(theta, dtype=float) + self.c > 0.0).astype(float)
 
     def conjugate_components(self, thetas):
@@ -172,7 +174,7 @@ class SeparableObjective(Objective):
                 g[j] = -2.0 * w * (v - a)
         return g
 
-    def conjugate(self, theta):
+    def conjugate(self, theta, workspace=None):
         return float(np.sum(self.conjugate_components(np.asarray(theta, dtype=float))))
 
     def conjugate_components(self, thetas):
@@ -199,7 +201,7 @@ class SeparableObjective(Objective):
             out[..., cols] = vals
         return out
 
-    def conjugate_argmax(self, theta):
+    def conjugate_argmax(self, theta, workspace=None):
         t = np.asarray(theta, dtype=float)
         y = np.empty_like(t)
         for j, term in enumerate(self.terms):
@@ -256,11 +258,11 @@ class NegativeDistance(Objective):
         j = int(np.argmax(np.abs(diff)))
         return -np.sign(diff[j]) * np.eye(x.shape[0])[j]
 
-    def conjugate(self, theta):
-        return self.target.support(theta)
+    def conjugate(self, theta, workspace=None):
+        return self.target.support(theta, workspace)
 
-    def conjugate_argmax(self, theta):
-        return self.target.support_point(theta)
+    def conjugate_argmax(self, theta, workspace=None):
+        return self.target.support_point(theta, workspace)
 
     def conjugate_components(self, thetas):
         if not self.is_separable:

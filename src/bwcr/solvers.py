@@ -25,7 +25,7 @@ import numpy as np
 
 from .confidence import EllipsoidState, Hypercube
 from .core import PolicyDistribution
-from .errors import ConfigError, UnsupportedError
+from .errors import ConfigError, SolverLimitError, UnsupportedError
 from .geometry import (Box, ConvexSet, Halfspaces, VPolytope, project_l2_ball,
                        project_simplex)
 from .lp import solve_dense_lp
@@ -293,7 +293,7 @@ def _interval_step(region: HypercubeRegion, f: Objective, s, warm, workspace) ->
                                  b_ub=np.concatenate([ws["b_ub"], cut_rhs]),
                                  a_eq=ws["a_eq"], b_eq=ws["b_eq"])
             solved = res.status == "optimal"
-        except RuntimeError:   # the tableau's iteration cap
+        except SolverLimitError:
             if best is None:
                 raise
             solved = False
@@ -366,15 +366,16 @@ def _eval_psi_exact(region, f: Objective, p, radius):
     return val, theta, x, cols
 
 
-def _eval_g(region, s: ConvexSet, p, theta0, iters, patience: int = 6):
+def _eval_g(region, s: ConvexSet, p, theta0, iters, workspace, patience: int = 6):
     """Inner projected gradient ascent for g(p) = max_{|theta|<=1}
-    min_region theta.(V~ p) - h_S(theta); returns (value, theta, cols)."""
+    min_region theta.(V~ p) - h_S(theta); returns (value, theta, cols).
+    ``workspace`` carries the support LP's warm basis between calls."""
     theta = np.zeros(region.d) if theta0 is None else theta0.copy()
     best = (-math.inf, theta.copy(), None)
     stall = 0
     for k in range(iters):
         val_min, x, cols = region.min_linear(theta, p)
-        val = val_min - s.support(theta)
+        val = val_min - s.support(theta, workspace)
         if val > best[0] + 1e-12:
             best = (val, theta.copy(), cols)
             stall = 0
@@ -382,7 +383,7 @@ def _eval_g(region, s: ConvexSet, p, theta0, iters, patience: int = 6):
             stall += 1
             if stall >= patience:
                 break
-        grad = x - s.support_point(theta)
+        grad = x - s.support_point(theta, workspace)
         theta = project_l2_ball(theta + (1.0 / (k + 1.0)) * grad, 1.0)
     if best[2] is None:
         best = (best[0], best[1], region.min_linear(best[1], p)[2])
@@ -425,7 +426,7 @@ def _feasibility_exact(region, s: ConvexSet, p, tol_feas: float):
     return None, math.nan  # no exact test for this target kind
 
 
-def _eval_g_strong(region, s: ConvexSet, p, theta0, iters):
+def _eval_g_strong(region, s: ConvexSet, p, theta0, iters, workspace):
     """High-budget dual feasibility evaluation with multiple restarts."""
     starts = [None, theta0]
     lo, hi = region.intervals(p)
@@ -436,14 +437,15 @@ def _eval_g_strong(region, s: ConvexSet, p, theta0, iters):
         starts.append(gap / nrm)
     best_val, best_theta = -math.inf, None
     for t0 in starts:
-        val, theta, _ = _eval_g(region, s, p, t0, iters, patience=max(50, iters // 4))
+        val, theta, _ = _eval_g(region, s, p, t0, iters, workspace, patience=max(50, iters // 4))
         if val > best_val:
             best_val, best_theta = val, theta
     return best_val, best_theta
 
 
 def _saddle_step(region: EllipsoidRegion, f: Objective, s: Optional[ConvexSet], *,
-                 warm: Optional[StepResult] = None, lipschitz: Optional[float] = None,
+                 warm: Optional[StepResult] = None, workspace: Optional[dict] = None,
+                 lipschitz: Optional[float] = None,
                  lam_max: float = 1024.0, outer_iters: int = 200, inner_iters: int = 15,
                  final_iters: int = 1500, tol_feas: float = 1e-6,
                  step_scale: float = 0.5) -> StepResult:
@@ -460,13 +462,14 @@ def _saddle_step(region: EllipsoidRegion, f: Objective, s: Optional[ConvexSet], 
     theta_psi = warm.theta_obj if warm is not None else None
     theta_g = warm.theta_feas if warm is not None else None
     candidates: list = []
+    support_ws = {} if workspace is None else workspace
 
     lam = 1.0
     while lam <= lam_max:
         for k in range(1, outer_iters + 1):
             psi_val, theta_psi, x_psi, cols_psi = _eval_psi(region, f, p, radius, theta_psi, inner_iters)
             if s is not None:
-                g_val, theta_g, cols_g = _eval_g(region, s, p, theta_g, inner_iters)
+                g_val, theta_g, cols_g = _eval_g(region, s, p, theta_g, inner_iters, support_ws)
             else:
                 g_val, cols_g = 0.0, np.zeros(m)
             if g_val <= tol_feas:
@@ -490,7 +493,7 @@ def _saddle_step(region: EllipsoidRegion, f: Objective, s: Optional[ConvexSet], 
                 if checks >= 50:
                     break
                 checks += 1
-                g_val, theta_g = _eval_g_strong(region, s, cand, theta_g, final_iters)
+                g_val, theta_g = _eval_g_strong(region, s, cand, theta_g, final_iters, support_ws)
                 ok = g_val <= tol_feas
             if not ok:
                 continue
@@ -517,14 +520,15 @@ def solve_ucb_step(region, f: Objective, s: Optional[ConvexSet] = None, *,
     ``workspace`` caching its LP skeleton between calls with the same f and
     S.  Ellipsoid regions (contextual instances) make the step non-convex in
     (p, z), so they get the penalized saddle search, the only reader of
-    ``saddle_options`` (``lipschitz``, ``lam_max``, ``outer_iters``, ...).
+    ``saddle_options`` (``lipschitz``, ``lam_max``, ``outer_iters``, ...);
+    there ``workspace`` carries the warm basis of S's support LP.
     """
     if isinstance(region, HypercubeRegion):
         if saddle_options:
             raise ConfigError("solver options apply to the saddle search of "
                               "ellipsoid regions only")
         return _interval_step(region, f, s, warm, workspace)
-    return _saddle_step(region, f, s, warm=warm, **saddle_options)
+    return _saddle_step(region, f, s, warm=warm, workspace=workspace, **saddle_options)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bwcr.benchmark import compute_opt
-from bwcr.errors import ConfigError, GenerationError
+from bwcr.errors import ConfigError, GenerationError, SolverLimitError
 from bwcr.geometry import Halfspaces
 from bwcr.harness import (GeneratorSpec, config_from_json, generate_instance,
                           resolve_instance, run_experiment)
@@ -116,6 +116,12 @@ def test_run_experiment_row_count_and_summary(tmp_path):
     assert lines[0].split(",")[:4] == ["t", "arm", "v_1", "v_2"]
     assert summary["benchmark"]["feasible"] is True
     assert (tmp_path / "out" / "summary.json").exists()
+    assert summary["per_seed"][0]["infeasible_steps"] == 0
+    assert "infeasible" not in lines[0]
+    doc = _config_doc(tmp_path, horizon=10, seeds=(1,))
+    doc["algorithm"] = {"variant": "dual_oco"}
+    doc.pop("constraint_set")
+    assert run_experiment(config_from_json(doc))["per_seed"][0]["infeasible_steps"] is None
 
 
 def test_run_experiment_reproducible_bytes(tmp_path):
@@ -179,6 +185,54 @@ def test_cli_simulate_and_exit_codes(tmp_path):
     gen = tmp_path / "gen.json"
     gen.write_text(json.dumps(doc))
     assert _run_cli(["simulate", "--config", str(gen)]).returncode == 3
+
+
+def test_cli_solver_limit_and_unsupported_exit_codes(tmp_path, monkeypatch, capsys):
+    from bwcr import cli, lp
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_config_doc(tmp_path, horizon=5)))
+
+    def capped(*args, **kwargs):
+        raise SolverLimitError("simplex iteration limit exceeded")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "_bland_iterate", capped)
+        assert cli.main(["simulate", "--config", str(path)]) == 4
+    assert "solver limit" in capsys.readouterr().err
+
+    # the cutting planes need a supergradient, which neg-distance in l1
+    # has only for box targets
+    doc = _config_doc(tmp_path, horizon=5)
+    doc["objective"] = {"kind": "neg_distance", "norm": "l1", "set": doc["constraint_set"]}
+    path.write_text(json.dumps(doc))
+    assert cli.main(["simulate", "--config", str(path)]) == 5
+    assert "unsupported" in capsys.readouterr().err
+
+
+def _sensor_doc(variant):
+    doc = {"instance": {"generator": {"kind": "sensor_network", "m": 4, "points": 6}},
+           "instance_seed": 3, "algorithm": {"variant": variant},
+           "horizon": 400, "seeds": [1, 2, 3]}
+    if variant == "combined":
+        doc["objective"] = {"kind": "linear", "coefficients": [0.4, 0.3, 0.2, 0.1]}
+    return doc
+
+
+@pytest.mark.parametrize("variant", ["dual_oco", "combined"])
+def test_seed_runs_share_no_warm_state(tmp_path, variant):
+    # the sensor target has several halfspaces, so every step solves a
+    # support LP; its warm basis must stay with one run, as every seed of an
+    # experiment shares the target object
+    doc = _sensor_doc(variant)
+    _, _, target, _ = resolve_instance(config_from_json(doc))
+    assert isinstance(target, Halfspaces) and target.k > 1
+    run_experiment(config_from_json(doc), out_dir=str(tmp_path / "together"))
+    for seed in doc["seeds"]:
+        alone = dict(doc, seeds=[seed])
+        run_experiment(config_from_json(alone), out_dir=str(tmp_path / f"alone_{seed}"))
+        name = f"seed_{seed}.csv"
+        assert (tmp_path / "together" / name).read_bytes() == \
+            (tmp_path / f"alone_{seed}" / name).read_bytes()
 
 
 def test_cli_seed_override(tmp_path):

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from bwcr.confidence import Hypercube
-from bwcr.errors import ConfigError
+from bwcr.errors import ConfigError, SolverLimitError
 from bwcr.geometry import Box, Halfspaces, VPolytope
-from bwcr.lp import solve_dense_lp
+from bwcr.lp import _bland_iterate, solve_dense_lp
 from bwcr.objective import LinearObjective, NegativeDistance, SeparableObjective
 from bwcr.solvers import (GAP_TOL, EllipsoidRegion, HypercubeRegion, LpProblem,
                           degenerate_region, entropic_step, make_oco, ogd_step, solve_lp,
@@ -109,6 +109,113 @@ def test_lp_warm_basis_resolve():
     warm = solve_lp(LpProblem(r, jitter, 0.5), warm_basis=first.basis)
     cold = solve_lp(LpProblem(r, jitter, 0.5))
     assert warm.value == pytest.approx(cold.value, abs=1e-9)
+    assert warm.basis == cold.basis == first.basis
+    # the same LP on the tableau: the jitter keeps the basis optimal, so the
+    # warm solve certifies it without a pivot; the cold one needs phase 1
+    knapsack = dict(a_eq=np.ones((1, 4)), b_eq=np.ones(1), b_ub=np.full(2, 0.5))
+    warm_lp = solve_dense_lp(r, a_ub=jitter, basis=first.basis, **knapsack)
+    cold_lp = solve_dense_lp(r, a_ub=jitter, **knapsack)
+    assert warm_lp.basis == first.basis and warm_lp.pivots == 0
+    assert cold_lp.basis == first.basis and cold_lp.pivots > 0
+    assert np.allclose(warm_lp.x, cold_lp.x, atol=1e-12)
+
+
+def _standard_form(c, a_ub, b_ub, a_eq, b_eq):
+    """[A_ub I; A_eq 0] with rows flipped to b >= 0, as the tableau sees it."""
+    n, k_ub, k_eq = c.size, b_ub.size, b_eq.size
+    big = np.zeros((k_ub + k_eq, n + k_ub))
+    big[:k_ub, :n] = a_ub
+    big[:k_ub, n:] = np.eye(k_ub)
+    big[k_ub:, :n] = a_eq
+    rhs = np.concatenate([b_ub, b_eq])
+    big[rhs < 0] *= -1.0
+    return big, np.abs(rhs), np.concatenate([c, np.zeros(k_ub)])
+
+
+def _still_optimal(basis, c, a_ub, b_ub, a_eq, b_eq):
+    """Is ``basis`` primal feasible with no improving reduced cost?"""
+    big, rhs, cost = _standard_form(c, a_ub, b_ub, a_eq, b_eq)
+    if len(basis) != big.shape[0]:
+        return False
+    bmat = big[:, basis]
+    if abs(np.linalg.det(bmat)) < 1e-9:
+        return False
+    xb = np.linalg.solve(bmat, rhs)
+    y = np.linalg.solve(bmat.T, cost[basis])
+    return bool(np.all(xb >= -1e-9) and np.all(cost - y @ big <= 1e-9))
+
+
+@st.composite
+def _lp_pairs(draw):
+    """A small LP and a copy with a new cost or one column changed."""
+    n = draw(st.integers(1, 4))
+    k_ub = draw(st.integers(1, 3))
+    k_eq = draw(st.integers(0, 1))
+    c = draw(_lattice(n, -1.0, 1.0))
+    a_ub = draw(_lattice((k_ub, n), -1.0, 1.0))
+    b_ub = draw(_lattice(k_ub, -0.5, 1.0))
+    a_eq = draw(_lattice((k_eq, n)))
+    b_eq = draw(_lattice(k_eq))
+    first = (c, a_ub, b_ub, a_eq, b_eq)
+    if draw(st.booleans()):
+        return first, (draw(_lattice(n, -1.0, 1.0)), a_ub, b_ub, a_eq, b_eq)
+    j = draw(st.integers(0, n - 1))
+    a_ub2, a_eq2 = a_ub.copy(), a_eq.copy()
+    a_ub2[:, j] = draw(_lattice(k_ub, -1.0, 1.0))
+    a_eq2[:, j] = draw(_lattice(k_eq))
+    return first, (c, a_ub2, b_ub, a_eq2, b_eq)
+
+
+def _solve(lp, basis=None):
+    c, a_ub, b_ub, a_eq, b_eq = lp
+    return solve_dense_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, basis=basis)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_lp_pairs())
+def test_lp_warm_resolve_matches_cold_property(pair):
+    first, second = pair
+    base = _solve(first)
+    if base.status != "optimal":
+        return
+    warm = _solve(second, base.basis)
+    cold = _solve(second)
+    assert warm.status == cold.status
+    if cold.status == "optimal":
+        assert warm.value == pytest.approx(cold.value, abs=1e-9)
+        c, a_ub, b_ub, a_eq, b_eq = second
+        assert np.all(warm.x >= 0.0)
+        assert np.all(a_ub @ warm.x <= b_ub + 1e-9)
+        assert np.allclose(a_eq @ warm.x, b_eq, atol=1e-9)
+    if _still_optimal(base.basis, *second):
+        assert warm.basis == base.basis and warm.pivots == 0
+    # the unchanged LP certifies its own optimal basis, unless phase 1
+    # dropped a redundant row and left a basis too short to reuse
+    again = _solve(first, base.basis)
+    assert again.value == pytest.approx(base.value, abs=1e-9)
+    if len(base.basis) == first[2].size + first[4].size:
+        assert again.basis == base.basis and again.pivots == 0
+
+
+def test_halfspaces_support_workspace_matches_stateless():
+    rng = np.random.default_rng(11)
+    d = 4
+    s = Halfspaces(-rng.uniform(0.0, 1.0, (5, d)).round(3), np.full(5, -0.3))
+    ws = {}
+    theta = rng.standard_normal(d)
+    for k in range(200):
+        # small OCO-like moves, with a jump now and then
+        theta = rng.standard_normal(d) if k % 25 == 0 else theta + 0.1 * rng.standard_normal(d)
+        assert s.support(theta, ws) == pytest.approx(s.support(theta), abs=1e-12)
+        assert np.allclose(s.support_point(theta, ws), s.support_point(theta), atol=1e-9)
+    assert ws["basis"] is not None
+
+
+def test_bland_iteration_cap_raises_solver_limit_error():
+    tableau = np.array([[1.0, 1.0, 1.0]])
+    with pytest.raises(SolverLimitError):
+        _bland_iterate(tableau, [1], np.array([1.0, 0.0, 0.0]), np.ones(2, dtype=bool),
+                       max_iter=0)
 
 
 def test_lp_unbounded_detection():
