@@ -26,10 +26,11 @@ from typing import Optional
 
 import numpy as np
 
-from .confidence import ConfidenceState, EllipsoidState, Hypercube, default_crad, hypercube, vertex
+from .confidence import ConfidenceState, EllipsoidState, Hypercube, default_crad, vertex
 from .core import IDLE, InstanceModel, PolicyDistribution, idle_policy, point_mass, uniform_policy
 from .errors import ConfigError
 from .geometry import Box, ConvexSet, smoothed_distance
+from .lp import workspace_counts
 from .objective import NegativeDistance, Objective, SmoothedObjective
 from .solvers import (EllipsoidRegion, HypercubeRegion, LpProblem, entropic_step,
                       make_oco, ogd_step, solve_lp, solve_ucb_step)
@@ -139,9 +140,11 @@ class _StepperBase:
         self._uniform = uniform_policy(self.m)
 
     def _hypercube(self) -> Hypercube:
+        """The current region, as views of the confidence bounds: no stepper
+        keeps it past its own step, and the bounds only change in observe."""
         if self._known is not None:
             return self._known
-        return hypercube(self.conf)
+        return Hypercube.unchecked(*self.conf.bounds())
 
     def _base_point(self) -> np.ndarray:
         """The running average, or before any play the UCB image of uniform play."""
@@ -172,6 +175,11 @@ class _StepperBase:
     def _after_observe(self, arm: int, observation: np.ndarray):
         pass
 
+    def lp_counts(self) -> Optional[dict]:
+        """LP solves, certified warm solves and pivots of this run, from the
+        LP workspaces the stepper owns; None for variants that solve no LP."""
+        return None
+
 
 class UcbBwcrStepper(_StepperBase):
     """Optimistic play over the confidence region: maximize the best
@@ -196,6 +204,9 @@ class UcbBwcrStepper(_StepperBase):
         self._warm = None
         self._workspace: dict = {}
         self.infeasible_steps = 0
+
+    def lp_counts(self):
+        return workspace_counts(self._workspace)
 
     def _region(self):
         if self._ellipsoid:
@@ -237,6 +248,10 @@ class UcbBwkStepper(_StepperBase):
         self.budget_spent = np.zeros(self.n_res)
         self.stopped = False
         self._basis = None
+        self._lp_workspace: dict = {}
+
+    def lp_counts(self):
+        return workspace_counts(self._lp_workspace)
 
     def step(self, t: int):
         if self.stopped or np.any(self.budget_spent > self.budget):
@@ -244,7 +259,7 @@ class UcbBwkStepper(_StepperBase):
             return STOP
         hc = self._hypercube()
         problem = LpProblem(hc.ucb[0], hc.lcb[1:], self.budget / self.config.horizon, self.eps)
-        res = solve_lp(problem, warm_basis=self._basis)
+        res = solve_lp(problem, warm_basis=self._basis, workspace=self._lp_workspace)
         if res.status != "optimal":
             # unreachable under the feasibility assumption; play safe
             if self.config.allow_idle:
@@ -279,6 +294,9 @@ class DualOcoStepper(_StepperBase):
         self.oco = make_oco(config.oco_kind, self.d, self.radius, grad_bound)
         self._x_t = None
         self._workspace: dict = {}   # warm state of f*'s support LP, this run's own
+
+    def lp_counts(self):
+        return workspace_counts(self._workspace)
 
     def step(self, t: int):
         hc = self._hypercube()
@@ -419,6 +437,9 @@ class CombinedStepper(_StepperBase):
         self.zbar_phi: Optional[np.ndarray] = None
         self._n_obs = 0
         self._phi_workspace: dict = {}   # warm state of h_S(phi)'s support LP
+
+    def lp_counts(self):
+        return workspace_counts(self._phi_workspace)
 
     def step(self, t: int):
         hc = self._hypercube()

@@ -49,6 +49,7 @@ def _verify_checks():
     from .confidence import Hypercube, rad, vertex
     from .core import InstanceModel, substream, sample_observation
     from .geometry import Box, smoothed_distance
+    from .lp import workspace_counts
     from .objective import LinearObjective, duality_gap_check
     from .solvers import LpProblem, make_oco, ogd_step, solve_lp
 
@@ -76,16 +77,27 @@ def _verify_checks():
         return res.status == "optimal" and abs(res.value - 0.75) < 1e-9
 
     def check_lp_warm():
-        # the knapsack example resolved after a reward change that keeps its
-        # basis optimal, then after one that does not; warm must match cold
-        first = solve_lp(LpProblem(np.array([1.0, 0.5]), np.array([[1.0, 0.0]]), 0.5))
-        for rewards in ([0.9, 0.6], [0.2, 0.7]):
-            problem = LpProblem(np.array(rewards), np.array([[1.0, 0.0]]), 0.5)
-            warm = solve_lp(problem, warm_basis=first.basis)
+        # the knapsack example resolved through one workspace: after a reward
+        # change that keeps its basis optimal (certified, no pivot), after one
+        # that does not (pivots), and with a new budget (the form is rebuilt);
+        # each warm solve must match a cold one
+        ws = {}
+        cons = np.array([[1.0, 0.0]])
+        basis = solve_lp(LpProblem(np.array([1.0, 0.5]), cons, 0.5), workspace=ws).basis
+        for rewards, ratio, expect in (([0.9, 0.6], 0.5, "certify"), ([0.2, 0.7], 0.5, "pivot"),
+                                       ([0.2, 0.7], 0.4, "rebuild")):
+            problem = LpProblem(np.array(rewards), cons, ratio)
+            before, form = workspace_counts(ws), ws["form"]
+            warm = solve_lp(problem, warm_basis=basis, workspace=ws)
+            after = workspace_counts(ws)
+            done = {"certify": after["lp_certified"] == before["lp_certified"] + 1,
+                    "pivot": after["lp_pivots"] > before["lp_pivots"],
+                    "rebuild": ws["form"] is not form}[expect]
             cold = solve_lp(problem)
-            if (warm.status != cold.status or abs(warm.value - cold.value) > 1e-12
+            if (not done or warm.status != cold.status or abs(warm.value - cold.value) > 1e-12
                     or not np.allclose(warm.policy.weights, cold.policy.weights, atol=1e-12)):
                 return False
+            basis = warm.basis
         return True
 
     def check_smoothing():

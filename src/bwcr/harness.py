@@ -37,7 +37,7 @@ from .core import (IDLE, PURPOSE_ARMS, PURPOSE_GENERATOR, PURPOSE_OUTCOMES, Cont
                    InstanceModel, RunHistory, draw_arm, sample_observation, substream)
 from .errors import ConfigError, GenerationError
 from .geometry import Box, ConvexSet, Halfspaces, set_from_json
-from .lp import solve_dense_lp
+from .lp import COUNTERS as LP_COUNTERS, solve_dense_lp
 from .objective import LinearObjective, Objective, objective_from_json
 from .solvers import LpProblem, solve_lp
 
@@ -374,6 +374,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
             "reg_bwk": trace.reg_total,
             # steps with no feasible optimistic play (ucb_bwcr only)
             "infeasible_steps": getattr(history.algorithm, "infeasible_steps", None),
+            # the run's LP solves, warm ones certified with no pivot, and pivots
+            **(history.algorithm.lp_counts() or dict.fromkeys(LP_COUNTERS)),
         })
 
     summary = {

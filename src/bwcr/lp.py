@@ -13,9 +13,24 @@ basis matrix gives x_B = B^-1 b, the duals y = c_B B^-1 and the reduced costs
 c - y A.  A basis that is primal feasible and passes Bland's optimality test
 is returned as it is, with no tableau; one that is feasible but not optimal
 starts phase 2 from B^-1 [A | b]; any other falls back to the cold phase 1.
-The warm basis belongs to the caller: it is passed in and handed back in
-:class:`LpResult`, never kept here, so runs that share problem data do not
-share warm state (see ``Halfspaces.support``'s ``workspace``).
+
+Workspace contract.  ``solve_dense_lp(..., workspace=ws)`` keeps the
+standard form [A_ub I; A_eq 0] (rows flipped to b >= 0) in the caller-owned
+dict ``ws`` and writes each call's cost and constraint entries into it in
+place.  It also keeps the last inverted basis with B^-1, x_B = B^-1 b and the
+duals y: a warm call whose basis columns are bit-for-bit unchanged reuses B^-1
+and x_B, recomputes y only if c_B changed, and certifies the basis with one
+reduced-cost product.  The inverse of the same B has the same bits, so a
+workspace changes no result: x, value, basis and pivots equal those of the
+stateless call.  One workspace serves one LP family, a fixed shape and fixed
+``b_ub``/``b_eq``; a call with another shape or rhs rebuilds the form.  The
+workspace also counts the solves made through it (``lp_solves``), the warm
+ones certified with no pivot (``lp_certified``) and the pivots of both
+phases (``lp_pivots``); see :func:`workspace_counts`.  Warm state belongs to
+the caller, typically one run: the basis is passed in and handed back in
+:class:`LpResult` and the workspace is the caller's, so runs that share
+problem data (every seed of an experiment shares the target set) never share
+warm state.
 """
 from __future__ import annotations
 
@@ -30,6 +45,8 @@ _TOL = 1e-9
 _PIV_TOL = 1e-11
 _FEAS_TOL = 1e-9    # least basic value a warm basis may carry and stay feasible
 
+COUNTERS = ("lp_solves", "lp_certified", "lp_pivots")
+
 
 @dataclass
 class LpResult:
@@ -40,6 +57,11 @@ class LpResult:
     y_ub: Optional[np.ndarray] = None
     y_eq: Optional[np.ndarray] = None
     pivots: int = 0                # simplex pivots made, both phases
+
+
+def workspace_counts(workspace: dict) -> dict:
+    """Solves, certified warm solves and pivots made through ``workspace``."""
+    return {key: workspace.get(key, 0) for key in COUNTERS}
 
 
 def _pivot(tableau: np.ndarray, basis: list, row: int, col: int):
@@ -77,76 +99,171 @@ def _bland_iterate(tableau: np.ndarray, basis: list, cost: np.ndarray, allowed: 
     raise SolverLimitError(f"simplex iteration limit ({max_iter} pivots) exceeded")
 
 
+def _rows(a, n: int) -> np.ndarray:
+    if a is None:
+        return np.zeros((0, n))
+    a = np.asarray(a, dtype=float)
+    return a if a.ndim == 2 else np.atleast_2d(a)
+
+
+def _rhs(b) -> np.ndarray:
+    if b is None:
+        return np.zeros(0)
+    b = np.asarray(b, dtype=float)
+    return b if b.ndim == 1 else np.atleast_1d(b)
+
+
+def _scatter(basis, x_basic: np.ndarray, n_cols: int, n: int) -> np.ndarray:
+    """The structural part of the basic solution with values ``x_basic``."""
+    x_full = np.zeros(n_cols)
+    x_full[basis] = x_basic
+    return x_full[:n]
+
+
+class _Form:
+    """The standard form of one LP family: [A_ub I; A_eq 0] x = |b| with the
+    rows of negative b flipped, the cost row, and the last inverted basis."""
+
+    def __init__(self, key, obj, a_ub, a_eq, b_ub, b_eq):
+        self.key = key
+        n = obj.shape[0]
+        k_ub, k_eq = a_ub.shape[0], a_eq.shape[0]
+        self.n, self.k_ub = n, k_ub
+        self.n_rows, self.n_cols = k_ub + k_eq, n + k_ub
+        big_a = np.zeros((self.n_rows, self.n_cols))
+        big_a[:k_ub, :n] = a_ub
+        big_a[:k_ub, n:] = np.eye(k_ub)
+        big_a[k_ub:, :n] = a_eq
+        rhs = np.concatenate([b_ub, b_eq])
+        # normalize to rhs >= 0 (remember flips to restore dual signs)
+        self.flips = rhs < 0
+        big_a[self.flips] *= -1.0
+        self.big_a = big_a
+        self.rhs = np.abs(rhs)
+        self.full_cost = np.concatenate([obj, np.zeros(k_ub)])
+        # per-row signs for rewriting flipped entries in place; None: no flips
+        sign = np.where(self.flips, -1.0, 1.0)[:, None]
+        self.sign_ub = sign[:k_ub] if self.flips[:k_ub].any() else None
+        self.sign_eq = sign[k_ub:] if self.flips[k_ub:].any() else None
+        self.inv_basis = None     # the basis whose inverse is kept below
+        self.inv_bytes = None     # its basis matrix, to tell it unchanged
+        self.binv = None
+        self.idx = None           # inv_basis as an index array
+        self.xb = None            # max(B^-1 b, 0), or None when infeasible
+        self.cb_bytes = None      # the c_B that gave y
+        self.y = None
+
+    def update(self, obj, a_ub, a_eq):
+        """Write a new cost and new constraint entries of the same family."""
+        n, k_ub = self.n, self.k_ub
+        self.full_cost[:n] = obj
+        big_a = self.big_a
+        if self.sign_ub is None:
+            big_a[:k_ub, :n] = a_ub
+        else:
+            np.multiply(a_ub, self.sign_ub, out=big_a[:k_ub, :n])
+        if self.sign_eq is None:
+            big_a[k_ub:, :n] = a_eq
+        else:
+            np.multiply(a_eq, self.sign_eq, out=big_a[k_ub:, :n])
+
+    def warm(self, basis: list):
+        """(basis as indices, B^-1, max(x_B, 0), y) for ``basis``, or None when
+        B is singular or x_B infeasible.  B^-1 and x_B are kept while the
+        basis and the bits of B stay the same, y while c_B does too."""
+        same = basis == self.inv_basis
+        idx = self.idx if same else np.array(basis, dtype=np.intp)
+        bmat = self.big_a.take(idx, axis=1)
+        raw = bmat.tobytes()
+        if not same or raw != self.inv_bytes:
+            try:
+                binv = np.linalg.inv(bmat)
+            except np.linalg.LinAlgError:
+                return None
+            xb = binv @ self.rhs
+            self.inv_basis, self.idx, self.inv_bytes, self.binv = list(basis), idx, raw, binv
+            self.xb = np.maximum(xb, 0.0) \
+                if np.count_nonzero(xb >= -_FEAS_TOL) == xb.size else None
+            self.cb_bytes = None
+        if self.xb is None:
+            return None
+        cb = self.full_cost.take(idx)
+        raw = cb.tobytes()
+        if raw != self.cb_bytes:
+            self.cb_bytes, self.y = raw, cb @ self.binv
+        return idx, self.binv, self.xb, self.y
+
+
 def solve_dense_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
                    maximize: bool = True, basis: Optional[list] = None,
-                   need_duals: bool = False) -> LpResult:
+                   need_duals: bool = False, workspace: Optional[dict] = None) -> LpResult:
+    """Solve the LP, warm from ``basis`` if given; ``workspace`` is a
+    caller-owned dict that keeps this LP family's form between calls (see the
+    module docstring).  Duals are filled in only with ``need_duals``."""
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
     obj = c if maximize else -c
+    a_ub, a_eq, b_ub, b_eq = _rows(a_ub, n), _rows(a_eq, n), _rhs(b_ub), _rhs(b_eq)
+    key = (n, a_ub.shape[0], a_eq.shape[0], b_ub.tobytes(), b_eq.tobytes())
+    form = None if workspace is None else workspace.get("form")
+    if form is not None and form.key == key:
+        form.update(obj, a_ub, a_eq)
+    else:
+        form = _Form(key, obj, a_ub, a_eq, b_ub, b_eq)
+        if workspace is not None:
+            workspace["form"] = form
+            for name in COUNTERS:
+                workspace.setdefault(name, 0)
+    res = _solve(form, obj, basis, need_duals, maximize)
+    if workspace is not None:
+        workspace["lp_solves"] += 1
+        workspace["lp_pivots"] += res.pivots
+        if basis is not None and res.pivots == 0 and res.status == "optimal":
+            workspace["lp_certified"] += 1
+    return res
 
-    a_ub = np.zeros((0, n)) if a_ub is None else np.atleast_2d(np.asarray(a_ub, dtype=float))
-    b_ub = np.zeros(0) if b_ub is None else np.atleast_1d(np.asarray(b_ub, dtype=float))
-    a_eq = np.zeros((0, n)) if a_eq is None else np.atleast_2d(np.asarray(a_eq, dtype=float))
-    b_eq = np.zeros(0) if b_eq is None else np.atleast_1d(np.asarray(b_eq, dtype=float))
-    k_ub, k_eq = a_ub.shape[0], a_eq.shape[0]
-    n_rows = k_ub + k_eq
-    n_cols = n + k_ub
 
-    big_a = np.zeros((n_rows, n_cols))
-    big_a[:k_ub, :n] = a_ub
-    big_a[:k_ub, n:] = np.eye(k_ub)
-    big_a[k_ub:, :n] = a_eq
-    rhs = np.concatenate([b_ub, b_eq])
+def _finish(form: _Form, obj, basis_list, x, pivots, need_duals, maximize, y=None) -> LpResult:
+    """The optimal result for a final basis and its structural x."""
+    value = float(obj @ x)
+    # duals from the final basis: y solves B^T y = c_B (in the flipped system)
+    y_ub = y_eq = None
+    if need_duals and len(basis_list) == form.n_rows:
+        try:
+            if y is None:
+                y = np.linalg.solve(form.big_a[:, basis_list].T, form.full_cost[basis_list]) \
+                    if basis_list else np.zeros(0)
+            y = y.copy()
+            y[form.flips] *= -1.0
+            y_ub, y_eq = y[:form.k_ub], y[form.k_ub:]
+        except np.linalg.LinAlgError:
+            pass
+    if not maximize:
+        value = -value
+        if y_ub is not None:
+            y_ub, y_eq = -y_ub, -y_eq
+    return LpResult(status="optimal", x=x, value=value, basis=basis_list,
+                    y_ub=y_ub, y_eq=y_eq, pivots=pivots)
 
-    # normalize to rhs >= 0 (remember flips to restore dual signs)
-    flips = rhs < 0
-    big_a[flips] *= -1.0
-    rhs = np.abs(rhs)
 
-    full_cost = np.concatenate([obj, np.zeros(k_ub)])
-
-    def finish(basis_list, x_basic, pivots, y=None):
-        x_full = np.zeros(n_cols)
-        x_full[basis_list] = x_basic
-        x = x_full[:n]
-        value = float(obj @ x)
-        # duals from the final basis: y solves B^T y = c_B (in the flipped system)
-        y_ub = y_eq = None
-        if need_duals and len(basis_list) == n_rows:
-            try:
-                if y is None:
-                    y = np.linalg.solve(big_a[:, basis_list].T, full_cost[basis_list]) \
-                        if basis_list else np.zeros(0)
-                y = y.copy()
-                y[flips] *= -1.0
-                y_ub, y_eq = y[:k_ub], y[k_ub:]
-            except np.linalg.LinAlgError:
-                pass
-        if not maximize:
-            value = -value
-            if y_ub is not None:
-                y_ub, y_eq = -y_ub, -y_eq
-        return LpResult(status="optimal", x=x, value=value, basis=list(basis_list),
-                        y_ub=y_ub, y_eq=y_eq, pivots=pivots)
+def _solve(form: _Form, obj, basis, need_duals: bool, maximize: bool) -> LpResult:
+    n, n_rows, n_cols = form.n, form.n_rows, form.n_cols
+    big_a, rhs, full_cost = form.big_a, form.rhs, form.full_cost
 
     tableau = None
-    if basis is not None and len(basis) == n_rows and all(0 <= j < n_cols for j in basis):
-        basis_list = list(basis)
-        try:
-            binv = np.linalg.inv(big_a[:, basis_list])
-        except np.linalg.LinAlgError:
-            binv = None
-        if binv is not None:
-            xb = binv @ rhs
-            if np.all(xb >= -_FEAS_TOL):
-                xb = np.maximum(xb, 0.0)
-                y = full_cost[basis_list] @ binv
-                reduced = full_cost - y @ big_a
-                if not np.any(reduced > _TOL):
-                    # still optimal: Bland's test passes with no pivot to make
-                    return finish(basis_list, xb, 0, y)
-                tableau = np.hstack([binv @ big_a, xb[:, None]])
-                cost2 = np.append(reduced, -float(y @ rhs))
+    basis_list = None if basis is None else list(basis)
+    if basis_list is not None and len(basis_list) == n_rows and (
+            basis_list == form.inv_basis or all(0 <= j < n_cols for j in basis_list)):
+        warm = form.warm(basis_list)
+        if warm is not None:
+            idx, binv, xb, y = warm
+            reduced = full_cost - y @ big_a
+            if not np.count_nonzero(reduced > _TOL):
+                # still optimal: Bland's test passes with no pivot to make
+                return _finish(form, obj, basis_list, _scatter(idx, xb, n_cols, n), 0,
+                               need_duals, maximize, y)
+            tableau = np.hstack([binv @ big_a, xb[:, None]])
+            cost2 = np.append(reduced, -float(y @ rhs))
 
     pivots = 0
     if tableau is None:
@@ -193,4 +310,5 @@ def solve_dense_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
     pivots += pivots2
     if status == "unbounded":
         return LpResult(status="unbounded", pivots=pivots)
-    return finish(basis_list, tableau[:, -1], pivots)
+    return _finish(form, obj, basis_list, _scatter(basis_list, tableau[:, -1], n_cols, n),
+                   pivots, need_duals, maximize)

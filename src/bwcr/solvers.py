@@ -64,17 +64,23 @@ class LpStepResult:
     basis: Optional[list] = None
 
 
-def solve_lp(problem: LpProblem, warm_basis: Optional[list] = None) -> LpStepResult:
-    m = problem.rewards.shape[0]
+def solve_lp(problem: LpProblem, warm_basis: Optional[list] = None,
+             workspace: Optional[dict] = None) -> LpStepResult:
+    """Solve the budgeted simplex LP, warm from ``warm_basis`` if given.
+
+    ``workspace`` is a caller-owned dict for a run's sequence of these LPs: it
+    keeps the rhs arrays and the LP's standard form between calls (see
+    :mod:`bwcr.lp`); results are the same with or without it.
+    """
+    m, k = problem.rewards.shape[0], problem.consumption.shape[0]
     beta = (1.0 - problem.eps) * problem.budget_ratio
-    res = solve_dense_lp(
-        problem.rewards,
-        a_ub=problem.consumption,
-        b_ub=np.full(problem.consumption.shape[0], beta),
-        a_eq=np.ones((1, m)),
-        b_eq=np.ones(1),
-        basis=warm_basis,
-    )
+    ws = {} if workspace is None else workspace
+    if ws.get("rhs_key") != (k, m, beta):
+        ws.update(rhs_key=(k, m, beta), b_ub=np.full(k, beta), a_eq=np.ones((1, m)),
+                  b_eq=np.ones(1))
+    res = solve_dense_lp(problem.rewards, a_ub=problem.consumption, b_ub=ws["b_ub"],
+                         a_eq=ws["a_eq"], b_eq=ws["b_eq"], basis=warm_basis,
+                         workspace=workspace)
     if res.status != "optimal":
         return LpStepResult(status="infeasible")
     p = np.maximum(res.x, 0.0)
@@ -246,7 +252,9 @@ def _interval_step(region: HypercubeRegion, f: Objective, s, warm, workspace) ->
 
     For fixed p the achievable set is the box [L p, U p], so the step is the
     concave program max f(z_r) over the polytope of :func:`_step_skeleton`.
-    A linear f makes it one LP (warm-started from the previous step's basis).
+    A linear f makes it one LP, warm-started from the previous step's basis;
+    ``workspace`` keeps that LP's standard form and basis inverse (see
+    :mod:`bwcr.lp`), and counts the LP solves of every round.
     Any other f is solved by Kelley's cutting planes: each round adds the cut
     t <= f(y) + g(y) . (z_r - y) at the previous LP's z_r and stops once the
     LP bound exceeds the best f(z_r) found by at most GAP_TOL.  Rounds are
@@ -260,7 +268,8 @@ def _interval_step(region: HypercubeRegion, f: Objective, s, warm, workspace) ->
     a_ub = _fill_intervals(ws, region.hc)
     if ws["linear"]:
         res = solve_dense_lp(ws["cost"], a_ub=a_ub, b_ub=ws["b_ub"], a_eq=ws["a_eq"],
-                             b_eq=ws["b_eq"], basis=warm.basis if warm is not None else None)
+                             b_eq=ws["b_eq"], basis=warm.basis if warm is not None else None,
+                             workspace=ws)
         if res.status != "optimal":
             return StepResult(feasible=False, policy=None, objective=math.nan, x=None, rounds=1)
         p = _simplex_point(res.x[:m])
@@ -291,7 +300,7 @@ def _interval_step(region: HypercubeRegion, f: Objective, s, warm, workspace) ->
         try:
             res = solve_dense_lp(ws["cost"], a_ub=np.vstack([a_ub, *cut_rows]),
                                  b_ub=np.concatenate([ws["b_ub"], cut_rhs]),
-                                 a_eq=ws["a_eq"], b_eq=ws["b_eq"])
+                                 a_eq=ws["a_eq"], b_eq=ws["b_eq"], workspace=ws)
             solved = res.status == "optimal"
         except SolverLimitError:
             if best is None:
@@ -517,8 +526,8 @@ def solve_ucb_step(region, f: Objective, s: Optional[ConvexSet] = None, *,
     the caller decides what to play then.
 
     Interval regions get the exact step of :func:`_interval_step`, with
-    ``workspace`` caching its LP skeleton between calls with the same f and
-    S.  Ellipsoid regions (contextual instances) make the step non-convex in
+    ``workspace`` caching its LP skeleton, and the step LP's standard form
+    and basis inverse, between calls with the same f and S.  Ellipsoid regions (contextual instances) make the step non-convex in
     (p, z), so they get the penalized saddle search, the only reader of
     ``saddle_options`` (``lipschitz``, ``lam_max``, ``outer_iters``, ...);
     there ``workspace`` carries the warm basis of S's support LP.

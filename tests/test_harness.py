@@ -116,12 +116,24 @@ def test_run_experiment_row_count_and_summary(tmp_path):
     assert lines[0].split(",")[:4] == ["t", "arm", "v_1", "v_2"]
     assert summary["benchmark"]["feasible"] is True
     assert (tmp_path / "out" / "summary.json").exists()
-    assert summary["per_seed"][0]["infeasible_steps"] == 0
-    assert "infeasible" not in lines[0]
+    per_seed = summary["per_seed"][0]
+    assert per_seed["infeasible_steps"] == 0
+    # one warm-started step LP per step; only the first is solved cold
+    assert per_seed["lp_solves"] == 10
+    assert 0 <= per_seed["lp_certified"] <= 9 and per_seed["lp_pivots"] > 0
+    assert "infeasible" not in lines[0] and "lp_" not in lines[0]
     doc = _config_doc(tmp_path, horizon=10, seeds=(1,))
     doc["algorithm"] = {"variant": "dual_oco"}
     doc.pop("constraint_set")
-    assert run_experiment(config_from_json(doc))["per_seed"][0]["infeasible_steps"] is None
+    per_seed = run_experiment(config_from_json(doc))["per_seed"][0]
+    assert per_seed["infeasible_steps"] is None
+    # the linear objective's conjugate argmax is closed-form: no LP solved
+    assert (per_seed["lp_solves"], per_seed["lp_certified"], per_seed["lp_pivots"]) == (0, 0, 0)
+    doc["algorithm"] = {"variant": "fw_primal"}
+    per_seed = run_experiment(config_from_json(doc))["per_seed"][0]
+    assert (per_seed["lp_solves"], per_seed["lp_certified"], per_seed["lp_pivots"]) == \
+        (None, None, None)
+    assert "lp_" not in (tmp_path / "out" / "seed_1.csv").read_text()
 
 
 def test_run_experiment_reproducible_bytes(tmp_path):
@@ -209,7 +221,12 @@ def test_cli_solver_limit_and_unsupported_exit_codes(tmp_path, monkeypatch, caps
     assert "unsupported" in capsys.readouterr().err
 
 
-def _sensor_doc(variant):
+def _seed_isolation_doc(variant):
+    if variant == "ucb_bwk":
+        return {"instance": {"generator": {"kind": "bwk", "m": 5, "resources": 2,
+                                           "budget": 100.0}},
+                "algorithm": {"variant": variant, "budget": 100.0},
+                "horizon": 400, "seeds": [1, 2, 3]}
     doc = {"instance": {"generator": {"kind": "sensor_network", "m": 4, "points": 6}},
            "instance_seed": 3, "algorithm": {"variant": variant},
            "horizon": 400, "seeds": [1, 2, 3]}
@@ -218,15 +235,20 @@ def _sensor_doc(variant):
     return doc
 
 
-@pytest.mark.parametrize("variant", ["dual_oco", "combined"])
+@pytest.mark.parametrize("variant", ["dual_oco", "combined", "ucb_bwcr", "ucb_bwk"])
 def test_seed_runs_share_no_warm_state(tmp_path, variant):
-    # the sensor target has several halfspaces, so every step solves a
-    # support LP; its warm basis must stay with one run, as every seed of an
-    # experiment shares the target object
-    doc = _sensor_doc(variant)
+    # every step solves an LP warm from the run's last basis: the support LP
+    # of the sensor target, which has several halfspaces, or the step LP
+    # (for ucb_bwcr with the zero objective every feasible basis is optimal,
+    # so its plays follow the warm state closely); that state and the LP's
+    # workspace must stay with one run, as every seed of an experiment shares
+    # the instance and the target object
+    doc = _seed_isolation_doc(variant)
     _, _, target, _ = resolve_instance(config_from_json(doc))
-    assert isinstance(target, Halfspaces) and target.k > 1
-    run_experiment(config_from_json(doc), out_dir=str(tmp_path / "together"))
+    if variant != "ucb_bwk":
+        assert isinstance(target, Halfspaces) and target.k > 1
+    summary = run_experiment(config_from_json(doc), out_dir=str(tmp_path / "together"))
+    assert all(r["lp_solves"] > 0 for r in summary["per_seed"])
     for seed in doc["seeds"]:
         alone = dict(doc, seeds=[seed])
         run_experiment(config_from_json(alone), out_dir=str(tmp_path / f"alone_{seed}"))

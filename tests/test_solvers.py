@@ -197,6 +197,71 @@ def test_lp_warm_resolve_matches_cold_property(pair):
         assert again.basis == base.basis and again.pivots == 0
 
 
+@st.composite
+def _lp_families(draw):
+    """A small LP with a fixed rhs and 30 updates to it: each a new cost, or
+    new entries for one nonbasic or one basic structural column of the basis
+    current when the update is applied (``pick`` chooses which)."""
+    n = draw(st.integers(1, 4))
+    k_ub = draw(st.integers(1, 3))
+    k_eq = draw(st.integers(0, 1))
+    lp = [draw(_lattice(n, -1.0, 1.0)), draw(_lattice((k_ub, n), -1.0, 1.0)),
+          draw(_lattice(k_ub, -0.5, 1.0)), draw(_lattice((k_eq, n))), draw(_lattice(k_eq))]
+    updates = draw(st.lists(st.tuples(st.sampled_from(["cost", "nonbasic", "basic"]),
+                                      st.integers(0, 3), _lattice(n, -1.0, 1.0),
+                                      _lattice(k_ub, -1.0, 1.0), _lattice(k_eq)),
+                            min_size=30, max_size=30))
+    return lp, updates
+
+
+def _assert_same(got, ref):
+    assert (got.status, got.basis, got.pivots) == (ref.status, ref.basis, ref.pivots)
+    if ref.status == "optimal":
+        assert np.array_equal(got.x, ref.x) and got.value == ref.value
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_lp_families())
+def test_lp_workspace_matches_stateless_property(family):
+    (c, a_ub, b_ub, a_eq, b_eq), updates = family
+    n = c.size
+    ws = {}
+
+    def both(basis, **changes):
+        """The workspace solve, checked against the stateless one."""
+        lp = {"c": c, "a_ub": a_ub, "b_ub": b_ub, "a_eq": a_eq, "b_eq": b_eq, **changes}
+        got = solve_dense_lp(**lp, basis=basis, workspace=ws)
+        _assert_same(got, solve_dense_lp(**lp, basis=basis))
+        return got, lp
+
+    basis = both(None)[0].basis
+    for kind, pick, cost, col_ub, col_eq in updates:
+        basic = [j for j in basis or () if j < n]
+        pool = basic if kind == "basic" else [j for j in range(n) if j not in basic]
+        if kind == "cost" or not pool:
+            c = cost
+        else:
+            # in place, as the step LP's caller rewrites its matrix
+            j = pool[pick % len(pool)]
+            a_ub[:, j] = col_ub
+            a_eq[:, j] = col_eq
+        res = both(basis)[0]
+        if res.status == "optimal":
+            basis = res.basis
+    assert ws["lp_solves"] == len(updates) + 1
+    # a new rhs, then a new shape: the form is rebuilt and the warm solve
+    # still matches a cold one
+    for changes in ({"b_ub": b_ub + 0.25},
+                    {"a_ub": np.vstack([a_ub, np.ones(n)]), "b_ub": np.append(b_ub, 1.0)}):
+        form = ws["form"]
+        got, lp = both(basis, **changes)
+        assert ws["form"] is not form
+        cold = solve_dense_lp(**lp)
+        assert got.status == cold.status
+        if cold.status == "optimal":
+            assert got.value == pytest.approx(cold.value, abs=1e-9)
+
+
 def test_halfspaces_support_workspace_matches_stateless():
     rng = np.random.default_rng(11)
     d = 4
