@@ -131,6 +131,10 @@ class _StepperBase:
         # confidence state is then never read, so observe skips its update
         known = instance.mean_matrix.copy()
         self._known = Hypercube(lcb=known, ucb=known) if config.use_known_means else None
+        # otherwise the region wraps the confidence bounds themselves, which
+        # ConfidenceState.update rewrites in place
+        self._cube = self._known if self._known is not None \
+            else Hypercube.unchecked(*self.conf.bounds())
         self.xbar: Optional[np.ndarray] = None
         self.steps_seen = 0
         self._pending_x: Optional[np.ndarray] = None
@@ -140,11 +144,9 @@ class _StepperBase:
         self._uniform = uniform_policy(self.m)
 
     def _hypercube(self) -> Hypercube:
-        """The current region, as views of the confidence bounds: no stepper
-        keeps it past its own step, and the bounds only change in observe."""
-        if self._known is not None:
-            return self._known
-        return Hypercube.unchecked(*self.conf.bounds())
+        """The current region: the known-means cube, or the one wrapper of the
+        confidence bounds, which observe rewrites in place."""
+        return self._cube
 
     def _base_point(self) -> np.ndarray:
         """The running average, or before any play the UCB image of uniform play."""
@@ -245,6 +247,9 @@ class UcbBwkStepper(_StepperBase):
             self.eps = min(0.5, math.sqrt(self.m * self.gamma / self.budget))
         else:
             self.eps = float(config.eps)
+        # eps = 1 is the zero-budget limit case (only cost-free arms playable)
+        if not 0.0 <= self.eps <= 1.0:
+            raise ConfigError("eps must lie in [0, 1]")
         self.budget_spent = np.zeros(self.n_res)
         self.stopped = False
         self._basis = None
@@ -258,7 +263,9 @@ class UcbBwkStepper(_StepperBase):
             self.stopped = True
             return STOP
         hc = self._hypercube()
-        problem = LpProblem(hc.ucb[0], hc.lcb[1:], self.budget / self.config.horizon, self.eps)
+        # the bounds are ConfidenceState's, in [0, 1]; eps was checked once
+        problem = LpProblem.unchecked(hc.ucb[0], hc.lcb[1:], self.budget / self.config.horizon,
+                                      self.eps)
         res = solve_lp(problem, warm_basis=self._basis, workspace=self._lp_workspace)
         if res.status != "optimal":
             # unreachable under the feasibility assumption; play safe
@@ -301,8 +308,8 @@ class DualOcoStepper(_StepperBase):
     def step(self, t: int):
         hc = self._hypercube()
         corner = vertex(hc, self.oco.theta)
-        vals = self.oco.theta @ corner
-        arm = int(np.argmin(vals))
+        vals = self.oco.theta.dot(corner)
+        arm = int(vals.argmin())
         self._pending_x = corner[:, arm].copy()
         self._x_t = self._pending_x
         return self._points[arm]
@@ -331,8 +338,8 @@ class FwPrimalStepper(_StepperBase):
         grad = self._grad(self._base_point())
         hc = self._hypercube()
         corner = vertex(hc, -grad)
-        vals = grad @ corner
-        arm = int(np.argmax(vals))
+        vals = grad.dot(corner)
+        arm = int(vals.argmax())
         self._pending_x = corner[:, arm].copy()
         return self._points[arm]
 
@@ -355,8 +362,8 @@ class FwBwcStepper(_StepperBase):
             return p
         direction = base - self.s.project(base)
         corner = vertex(hc, direction)
-        vals = direction @ corner
-        arm = int(np.argmin(vals))
+        vals = direction.dot(corner)
+        arm = int(vals.argmin())
         self._pending_x = corner[:, arm].copy()
         return self._points[arm]
 
@@ -433,9 +440,7 @@ class CombinedStepper(_StepperBase):
             self.oco_phi = make_oco(config.oco_kind, self.d, 1.0, gb)
         if config.theta_update == "primal_smoothed":
             self._f_smooth = SmoothedObjective(self.f, config.sigma)
-        self.xbar_theta: Optional[np.ndarray] = None
         self.zbar_phi: Optional[np.ndarray] = None
-        self._n_obs = 0
         self._phi_workspace: dict = {}   # warm state of h_S(phi)'s support LP
 
     def lp_counts(self):
@@ -445,26 +450,31 @@ class CombinedStepper(_StepperBase):
         hc = self._hypercube()
         w_theta = vertex(hc, self.theta)
         w_phi = vertex(hc, self.phi)
-        cost = self.theta @ w_theta
-        load = self.phi @ w_phi
-        cap = self.s.support(self.phi, self._phi_workspace)
+        cost = self.theta.dot(w_theta)
+        load = self.phi.dot(w_phi)
+        if self.config.phi_update == "dual":
+            # phi is the OCO iterate whose support point observe needs: one
+            # oracle call answers both
+            cap, self._phi_point = self.s.support_and_point(self.phi, self._phi_workspace)
+        else:
+            cap = self.s.support(self.phi, self._phi_workspace)
         p = _simplex_one_constraint(cost, load, cap, self.config.allow_idle)
         if p is None:
             pol = self._uniform
         else:
             pol = PolicyDistribution(p, allow_idle=self.config.allow_idle)
-        self._x_theta = w_theta @ pol.weights
-        self._z_phi = w_phi @ pol.weights
+        self._x_theta = w_theta.dot(pol.weights)
+        self._z_phi = w_phi.dot(pol.weights)
         self._pending_x = self._x_theta
         return pol
 
     def _after_observe(self, arm, observation):
-        self._n_obs += 1
-        n = self._n_obs
-        self.xbar_theta = self._x_theta.copy() if self.xbar_theta is None \
-            else self.xbar_theta + (self._x_theta - self.xbar_theta) / n
-        self.zbar_phi = self._z_phi.copy() if self.zbar_phi is None \
-            else self.zbar_phi + (self._z_phi - self.zbar_phi) / n
+        # the running average of the x_theta plays is self.xbar; the primal
+        # phi rules alone read the running average of the z_phi plays
+        if self.config.phi_update != "dual":
+            n = self.steps_seen
+            self.zbar_phi = self._z_phi.copy() if self.zbar_phi is None \
+                else self.zbar_phi + (self._z_phi - self.zbar_phi) / n
 
         upd = self.config.theta_update
         if upd == "dual":
@@ -473,13 +483,13 @@ class CombinedStepper(_StepperBase):
                 self.oco_theta, grad)
             self.theta = self.oco_theta.theta
         elif upd == "primal":
-            self.theta = -self.f.supergradient(self.xbar_theta)
+            self.theta = -self.f.supergradient(self.xbar)
         else:
-            self.theta = -self._f_smooth.gradient(self.xbar_theta)
+            self.theta = -self._f_smooth.gradient(self.xbar)
 
         upd = self.config.phi_update
         if upd == "dual":
-            grad = self.s.support_point(self.oco_phi.theta, self._phi_workspace) - self._z_phi
+            grad = self._phi_point - self._z_phi
             self.oco_phi = (ogd_step if self.oco_phi.kind == "ogd" else entropic_step)(
                 self.oco_phi, grad)
             self.phi = self.oco_phi.theta
@@ -518,19 +528,22 @@ class GreedyBwkStepper(_StepperBase):
         lcb_c = hc.lcb[1:]
         phi = self.oco_phi.theta
         cap = self.s_budget.support(phi)
-        denom = phi @ lcb_c
-        free = denom <= 0.0
+        denom = phi.dot(lcb_c)
+        # one scalar pass over the arms: the first arm of best ratio among
+        # those that consume, and the first of best reward among free ones
+        ratio_arm, ratio_best, free_arm, free_best = None, -math.inf, None, -math.inf
+        for arm, (u, den) in enumerate(zip(ucb_r.tolist(), denom.tolist())):
+            if den <= 0.0:
+                if free_arm is None or u > free_best:
+                    free_arm, free_best = arm, u
+            elif ratio_arm is None or u / den > ratio_best:
+                ratio_arm, ratio_best = arm, u / den
         best_arm, best_val, best_prob = None, -math.inf, 0.0
-        if np.any(~free) and cap >= 0.0:
-            ratios = np.where(~free, ucb_r / np.where(free, 1.0, denom), -math.inf)
-            arm = int(np.argmax(ratios))
-            prob = min(1.0, cap / denom[arm])
-            best_arm, best_val, best_prob = arm, ucb_r[arm] * prob, prob
-        if np.any(free):
-            idx = np.flatnonzero(free)
-            arm = int(idx[np.argmax(ucb_r[idx])])
-            if ucb_r[arm] >= best_val:
-                best_arm, best_val, best_prob = arm, ucb_r[arm], 1.0
+        if ratio_arm is not None and cap >= 0.0:
+            prob = min(1.0, cap / float(denom[ratio_arm]))
+            best_arm, best_val, best_prob = ratio_arm, float(ucb_r[ratio_arm]) * prob, prob
+        if free_arm is not None and free_best >= best_val:
+            best_arm, best_val, best_prob = free_arm, free_best, 1.0
         if best_arm is None:
             self._z_t = np.zeros(self.n_res)
             self._pending_x = np.zeros(self.d)
@@ -538,8 +551,10 @@ class GreedyBwkStepper(_StepperBase):
         w = np.zeros(self.m)
         w[best_arm] = best_prob
         pol = PolicyDistribution(w, allow_idle=True)
-        self._z_t = lcb_c @ w
-        self._pending_x = np.concatenate([[ucb_r @ w], self._z_t])
+        # the policy is one scaled arm, so V w is that column times its
+        # probability: the products with w's zeros add exact zeros
+        self._z_t = lcb_c[:, best_arm] * best_prob
+        self._pending_x = np.concatenate(([float(ucb_r[best_arm]) * best_prob], self._z_t))
         return pol
 
     def _after_observe(self, arm, observation):

@@ -81,14 +81,28 @@ class ConfidenceState:
         self._ucb = np.full((d, m), min(1.0, 2.0 * self.crad))
 
     def update(self, arm: int, observation: np.ndarray):
-        self.sums[:, arm] += observation
-        self.counts[arm] += 1
+        """Ingest one play of ``arm``.  The played column is recomputed in
+        scalar arithmetic: the same IEEE operations, in the same order, as
+        the vectorized form mu = s/n, r2 = 2 (sqrt(crad mu / n) + crad / n),
+        so the bounds are bit-identical to it (math.sqrt and np.sqrt are
+        both correctly rounded), without numpy's per-call cost on a d-vector.
+        """
+        counts = self.counts
+        counts[arm] += 1
         self.t += 1
-        n = self.counts[arm] + 1
-        mu = self.sums[:, arm] / n
-        r2 = 2.0 * (np.sqrt(self.crad * mu / n) + self.crad / n)
-        self._lcb[:, arm] = np.maximum(mu - r2, 0.0)
-        self._ucb[:, arm] = np.minimum(mu + r2, 1.0)
+        n = float(counts[arm] + 1)
+        crad = self.crad
+        crad_n = crad / n
+        col = self.sums[:, arm]
+        col += observation
+        lcb, ucb = [], []
+        for s in col.tolist():
+            mu = s / n
+            r2 = 2.0 * (math.sqrt(crad * mu / n) + crad_n)
+            lcb.append(max(mu - r2, 0.0))
+            ucb.append(min(mu + r2, 1.0))
+        self._lcb[:, arm] = lcb
+        self._ucb[:, arm] = ucb
 
     def empirical_means(self) -> np.ndarray:
         return self.sums / (self.counts + 1)

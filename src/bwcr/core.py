@@ -8,7 +8,10 @@ rerun with the same addressing is bitwise identical.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any, Optional
 
 import numpy as np
@@ -125,10 +128,16 @@ class InstanceModel:
 
 @dataclass(frozen=True)
 class PolicyDistribution:
-    """Distribution over arms; with ``allow_idle`` the weights may sum to < 1."""
+    """Distribution over arms; with ``allow_idle`` the weights may sum to < 1.
+
+    The cumulative weights ``cdf`` (the running sums of np.cumsum, as
+    floats) are computed once here, since steppers play the same cached
+    policies thousands of times.
+    """
 
     weights: np.ndarray
     allow_idle: bool = False
+    cdf: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -137,12 +146,15 @@ class PolicyDistribution:
         if w.min() < -1e-12:
             raise ValueError("policy weights must be nonnegative")
         total = float(w.sum())
+        if not math.isfinite(total):
+            raise ValueError("policy weights must be finite")
         if self.allow_idle:
             if total > 1.0 + 1e-9:
                 raise ValueError("policy weights must sum to at most 1")
         elif abs(total - 1.0) > 1e-9:
             raise ValueError("policy weights must sum to 1")
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "cdf", tuple(accumulate(w.tolist())))
 
     @property
     def m(self) -> int:
@@ -207,10 +219,15 @@ def sample_observation(instance: InstanceModel, arm: int, rng: np.random.Generat
 
 
 def draw_arm(policy: PolicyDistribution, rng: np.random.Generator) -> int:
-    """Sample an arm index from the policy; returns IDLE with the residual mass."""
+    """Sample an arm index from the policy; returns IDLE with the residual mass.
+
+    Consumes exactly one uniform.  ``bisect_right`` on the cached CDF runs the
+    same binary search, with the same comparisons, as
+    ``np.searchsorted(np.cumsum(weights), u, side="right")``.
+    """
     u = rng.random()
-    cum = np.cumsum(policy.weights)
-    idx = int(np.searchsorted(cum, u, side="right"))
-    if idx >= policy.m:
+    cdf = policy.cdf
+    idx = bisect_right(cdf, u)
+    if idx >= len(cdf):
         return IDLE
     return idx

@@ -78,9 +78,12 @@ def project_simplex(v: np.ndarray, total: float = 1.0) -> np.ndarray:
 
 
 def project_l2_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    nrm = np.linalg.norm(v)
+    v = np.asarray(v, dtype=float)
+    flat = v.ravel()
+    # sqrt(v . v) is what np.linalg.norm computes for a real vector
+    nrm = math.sqrt(flat.dot(flat))
     if nrm <= radius or not math.isfinite(radius):
-        return np.asarray(v, dtype=float)
+        return v
     return v * (radius / nrm)
 
 
@@ -98,6 +101,12 @@ class ConvexSet:
     def support_point(self, theta: np.ndarray, workspace: Optional[dict] = None) -> np.ndarray:
         """A maximizer of theta . x over S; ``workspace`` as for :meth:`support`."""
         raise NotImplementedError
+
+    def support_and_point(self, theta: np.ndarray, workspace: Optional[dict] = None):
+        """(h_S(theta), a maximizer): the results of :meth:`support` then
+        :meth:`support_point`, which a set answering both from one
+        computation returns from one call."""
+        return self.support(theta, workspace), self.support_point(theta, workspace)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Euclidean projection onto the set."""
@@ -137,7 +146,7 @@ class Box(ConvexSet):
 
     def support(self, theta, workspace=None):
         theta = np.asarray(theta, dtype=float)
-        return float(np.sum(np.where(theta >= 0.0, theta * self.upper, theta * self.lower)))
+        return float(np.where(theta >= 0.0, theta * self.upper, theta * self.lower).sum())
 
     def support_point(self, theta, workspace=None):
         theta = np.asarray(theta, dtype=float)
@@ -206,6 +215,16 @@ class Halfspaces(ConvexSet):
     def support_point(self, theta, workspace=None):
         return self._support_impl(np.asarray(theta, dtype=float), workspace)[1]
 
+    def support_and_point(self, theta, workspace=None):
+        if self.k > 1:
+            # the LP's point comes from the second, certifying solve, as it
+            # would from a support_point call after a support call
+            return super().support_and_point(theta, workspace)
+        # the knapsack's value is theta . x at the point it returns
+        theta = np.asarray(theta, dtype=float)
+        x = self.support_point(theta)
+        return float(theta.dot(x)), x
+
     def _support_impl(self, theta, workspace):
         if self.k == 1:
             return self._support_knapsack(theta, self.normals[0], self.offsets[0])
@@ -225,27 +244,32 @@ class Halfspaces(ConvexSet):
     def _support_knapsack(self, theta, a, b):
         # max theta.x over 0 <= x <= upper, a.x <= b: start at the box argmax
         # and buy back constraint slack at the cheapest theta-loss per unit.
-        x = np.where(theta > 0.0, self.upper, 0.0)
-        load = float(a @ x)
+        # The moves are scalar float arithmetic; the two inner products stay
+        # numpy's (BLAS) dot, whose rounding the results must reproduce.
+        th, av, up = theta.tolist(), a.tolist(), self.upper.tolist()
+        xs = [u if t > 0.0 else 0.0 for t, u in zip(th, up)]
+        x = np.array(xs)
+        load = float(a.dot(x))
         if load <= b:
-            return float(theta @ x), x
+            return float(theta.dot(x)), x
         moves = []  # (loss rate, j, direction, capacity in units of a-load)
-        for j in range(self.dim):
-            if theta[j] > 0.0 and a[j] > 0.0 and x[j] > 0.0:
-                moves.append((theta[j] / a[j], j, -1.0, a[j] * x[j]))
-            elif theta[j] <= 0.0 and a[j] < 0.0 and self.upper[j] > 0.0:
-                moves.append((-theta[j] / -a[j], j, +1.0, -a[j] * self.upper[j]))
-        moves.sort(key=lambda t: (t[0], t[1]))
-        excess = load - b
+        for j, (t, aj, u) in enumerate(zip(th, av, up)):
+            if t > 0.0 and aj > 0.0 and xs[j] > 0.0:
+                moves.append((t / aj, j, -1.0, aj * xs[j]))
+            elif t <= 0.0 and aj < 0.0 and u > 0.0:
+                moves.append((-t / -aj, j, +1.0, -aj * u))
+        moves.sort()   # by rate, then index (indices are distinct)
+        excess = load - float(b)
         for _, j, direction, cap in moves:
             take = min(cap, excess)
-            x[j] += direction * take / abs(a[j])
+            xs[j] += direction * take / abs(av[j])
             excess -= take
             if excess <= 1e-15:
                 break
         if excess > 1e-9:
             raise ValueError("halfspace does not intersect the box; set invalid")
-        return float(theta @ x), x
+        x = np.array(xs)
+        return float(theta.dot(x)), x
 
     def _project_halfspace(self, x, a, b):
         viol = float(a @ x) - b
@@ -276,9 +300,9 @@ class Halfspaces(ConvexSet):
 
     def contains(self, x, tol=1e-9):
         x = np.asarray(x, dtype=float)
-        if np.any(x < -tol) or np.any(x > self.upper + tol):
+        if (x < -tol).any() or (x > self.upper + tol).any():
             return False
-        return bool(np.all(self.normals @ x <= self.offsets + tol))
+        return bool((self.normals.dot(x) <= self.offsets + tol).all())
 
     def distance_many(self, xs, norm=L2):
         if norm.primal != "l2":

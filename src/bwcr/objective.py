@@ -26,11 +26,24 @@ from .geometry import L2, Box, ConvexSet, NormPair, project_l2_ball, smoothed_di
 TERM_KINDS = ("sqrt", "log1p", "quad")
 
 
-def _clip_domain(x: np.ndarray) -> np.ndarray:
+def _check_domain(x: np.ndarray, stacklevel: int = 3) -> np.ndarray:
+    """``x`` as a float array, with a warning when an entry lies more than
+    1e-12 outside [0, 1].
+
+    One min/max pair settles the common in-range case; a NaN (which both
+    propagate) falls through to the elementwise test, under which NaN
+    entries alone never warn.
+    """
     x = np.asarray(x, dtype=float)
-    if np.any(x < -1e-12) or np.any(x > 1.0 + 1e-12):
-        warnings.warn("objective argument outside [0,1]^d; clipping", stacklevel=3)
-    return np.clip(x, 0.0, 1.0)
+    if x.size and not (x.min() >= -1e-12 and x.max() <= 1.0 + 1e-12):
+        if ((x < -1e-12) | (x > 1.0 + 1e-12)).any():
+            warnings.warn("objective argument outside [0,1]^d; clipping", stacklevel=stacklevel)
+    return x
+
+
+def _clip_domain(x: np.ndarray) -> np.ndarray:
+    """Clip to [0, 1]^d, warning as :func:`_check_domain` does."""
+    return _check_domain(x, stacklevel=4).clip(0.0, 1.0)
 
 
 class Objective:
@@ -84,7 +97,7 @@ class LinearObjective(Objective):
         return float(self.c @ _clip_domain(x))
 
     def supergradient(self, x):
-        _clip_domain(x)
+        _check_domain(x)   # the gradient is constant; only the warning is due
         return self.c.copy()
 
     def conjugate(self, theta, workspace=None):

@@ -55,6 +55,19 @@ class LpProblem:
         object.__setattr__(self, "rewards", r)
         object.__setattr__(self, "consumption", c)
 
+    @classmethod
+    def unchecked(cls, rewards: np.ndarray, consumption: np.ndarray, budget_ratio: float,
+                  eps: float = 0.0) -> "LpProblem":
+        """Wrap a float reward vector and a 2-D float consumption matrix
+        without validation (hot paths; the caller guarantees the invariants,
+        e.g. bounds maintained by ConfidenceState and scalars checked once)."""
+        problem = object.__new__(cls)
+        object.__setattr__(problem, "rewards", rewards)
+        object.__setattr__(problem, "consumption", consumption)
+        object.__setattr__(problem, "budget_ratio", budget_ratio)
+        object.__setattr__(problem, "eps", eps)
+        return problem
+
 
 @dataclass
 class LpStepResult:

@@ -114,6 +114,16 @@ def test_ucb_bwk_eps_one_zero_budget():
     assert pol2.weights.sum() == 0.0
 
 
+def test_ucb_bwk_eps_checked_at_construction():
+    # the per-step LP skips validation, so an eps outside [0, 1] is refused
+    # when the stepper is built
+    inst = InstanceModel(np.array([[1.0, 0.5], [1.0, 0.0]]), "fixed")
+    for eps in (-0.1, 1.5):
+        with pytest.raises(ConfigError, match="eps"):
+            make_algorithm(AlgorithmConfig(variant="ucb_bwk", horizon=10, budget=5.0,
+                                           eps=eps), inst)
+
+
 def test_dual_hand_simulation():
     # d=1, target {x <= 0.5}, arm means (0.9, 0.3), zero-width confidence:
     # replicate ten steps of the update rule independently and compare

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bwcr.confidence import (ConfidenceState, EllipsoidState, Hypercube, default_crad,
                              ellipsoid_max_linear, ellipsoid_min_linear, hypercube, rad, vertex)
@@ -181,3 +184,45 @@ def test_ellipsoid_periodic_refresh_consistency():
     for _ in range(23):
         es.update(rng.random((1, 2)), rng.random(1))
     assert np.allclose(es.gram_inv[0], np.linalg.inv(es.gram[0]), atol=1e-10)
+
+
+def _vectorized_update(state, arm, observation):
+    # the column update as whole-column numpy operations: the reference that
+    # ConfidenceState.update's scalar loop must reproduce bit for bit
+    state.sums[:, arm] += observation
+    state.counts[arm] += 1
+    state.t += 1
+    n = state.counts[arm] + 1
+    mu = state.sums[:, arm] / n
+    r2 = 2.0 * (np.sqrt(state.crad * mu / n) + state.crad / n)
+    state._lcb[:, arm] = np.maximum(mu - r2, 0.0)
+    state._ucb[:, arm] = np.minimum(mu + r2, 1.0)
+
+
+@st.composite
+def _play_sequences(draw):
+    d = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 6))
+    crad = draw(st.sampled_from([1e-4, 0.05, 0.5, 3.0, 14.2]))
+    kind = draw(st.sampled_from(["bernoulli", "scaled_beta"]))
+    means = draw(hnp.arrays(float, (d, m), elements=st.floats(0.0, 1.0)))
+    plays = draw(st.integers(50, 1500))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return d, m, crad, InstanceModel(means, kind), plays, seed
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_play_sequences())
+def test_update_matches_vectorized_reference(case):
+    d, m, crad, inst, plays, seed = case
+    state, ref = ConfidenceState(d, m, crad), ConfidenceState(d, m, crad)
+    rng_a, rng_o = substream(seed, 0, 0), substream(seed, 0, 1)
+    for _ in range(plays):
+        arm = int(rng_a.integers(m))
+        obs = sample_observation(inst, arm, rng_o)
+        state.update(arm, obs)
+        _vectorized_update(ref, arm, obs)
+    assert np.array_equal(state.sums, ref.sums)
+    assert np.array_equal(state._lcb, ref._lcb)
+    assert np.array_equal(state._ucb, ref._ucb)
+    assert np.array_equal(state.counts, ref.counts) and state.t == ref.t == plays

@@ -140,3 +140,68 @@ def test_instance_json_roundtrip():
 def test_helpers():
     assert np.array_equal(uniform_policy(4).weights, np.full(4, 0.25))
     assert np.array_equal(point_mass(3, 1).weights, [0.0, 1.0, 0.0])
+
+
+def _clone(rng):
+    twin = np.random.Generator(type(rng.bit_generator)())
+    twin.bit_generator.state = rng.bit_generator.state
+    return twin
+
+
+def test_draw_arm_matches_searchsorted_on_cloned_generator():
+    # the cached-CDF draw must pick the arm np.searchsorted(np.cumsum(w), u,
+    # "right") picks for the same uniform, and consume exactly that uniform
+    rng = substream(21)
+    gen = np.random.default_rng(5)
+    policies = [uniform_policy(5), point_mass(4, 3), point_mass(4, 0),
+                PolicyDistribution(np.array([0.1, 0.0, 0.0, 0.6, 0.3])),
+                # tiny negative weights leave the CDF non-monotone
+                PolicyDistribution(np.array([0.5, -1e-13, 0.5 + 1e-13, 0.0])),
+                # residual mass is the idle probability
+                PolicyDistribution(np.array([0.2, 0.0, 0.3]), allow_idle=True),
+                PolicyDistribution(np.array([0.0, 0.0, 0.0]), allow_idle=True)]
+    for _ in range(40):
+        k = int(gen.integers(1, 9))
+        w = gen.random(k) * (gen.random(k) < 0.7)   # some zero entries
+        if w.sum() > 0:
+            # full mass, or a total below 1 whose rest is idle
+            w = w / w.sum() * (1.0 if gen.random() < 0.5 else gen.random())
+        policies.append(PolicyDistribution(w, allow_idle=True))
+    idle_seen = 0
+    for pol in policies:
+        for _ in range(200):
+            twin = _clone(rng)
+            u = twin.random()
+            idx = int(np.searchsorted(np.cumsum(pol.weights), u, side="right"))
+            expected = IDLE if idx >= pol.m else idx
+            assert draw_arm(pol, rng) == expected
+            assert rng.bit_generator.state == twin.bit_generator.state
+            idle_seen += expected == IDLE
+    assert idle_seen > 0
+    # a uniform equal to a CDF value (or at 0, or just beside one) must fall
+    # on the same side as it does under searchsorted's "right"
+    for pol in policies:
+        cum = np.cumsum(pol.weights)
+        for c in cum.tolist():
+            for u in (0.0, c, np.nextafter(c, 0.0), np.nextafter(c, 1.0)):
+                if not 0.0 <= u < 1.0:
+                    continue
+                idx = int(np.searchsorted(cum, u, side="right"))
+                assert draw_arm(pol, _FixedUniform(u)) == (IDLE if idx >= pol.m else idx)
+
+
+class _FixedUniform:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_policy_cdf_is_cumsum_and_nonfinite_rejected():
+    w = np.random.default_rng(3).random(25)
+    pol = PolicyDistribution(w / w.sum())
+    assert np.array_equal(np.array(pol.cdf), np.cumsum(pol.weights))
+    for bad in ([np.nan, 1.0], [0.5, np.inf]):
+        with pytest.raises(ValueError):
+            PolicyDistribution(np.array(bad), allow_idle=True)

@@ -243,3 +243,77 @@ def test_project_simplex():
         # projection property against random feasible points
         q = rng.dirichlet(np.ones(5))
         assert np.linalg.norm(v - p) <= np.linalg.norm(v - q) + 1e-12
+
+
+def _support_knapsack_numpy(theta, a, b, upper):
+    # the numpy-scalar form of Halfspaces._support_knapsack, kept as the
+    # reference its float arithmetic must reproduce bit for bit
+    x = np.where(theta > 0.0, upper, 0.0)
+    load = float(a @ x)
+    if load <= b:
+        return float(theta @ x), x
+    moves = []
+    for j in range(theta.shape[0]):
+        if theta[j] > 0.0 and a[j] > 0.0 and x[j] > 0.0:
+            moves.append((theta[j] / a[j], j, -1.0, a[j] * x[j]))
+        elif theta[j] <= 0.0 and a[j] < 0.0 and upper[j] > 0.0:
+            moves.append((-theta[j] / -a[j], j, +1.0, -a[j] * upper[j]))
+    moves.sort(key=lambda t: (t[0], t[1]))
+    excess = load - b
+    for _, j, direction, cap in moves:
+        take = min(cap, excess)
+        x[j] += direction * take / abs(a[j])
+        excess -= take
+        if excess <= 1e-15:
+            break
+    if excess > 1e-9:
+        raise ValueError("halfspace does not intersect the box; set invalid")
+    return float(theta @ x), x
+
+
+def test_support_knapsack_matches_numpy_reference():
+    rng = np.random.default_rng(17)
+    checked = 0
+    for _ in range(3000):
+        d = int(rng.integers(1, 7))
+        # lattice values make ties in theta, in the loss rates and in the load
+        a = rng.choice([-0.5, -0.25, 0.0, 0.25, 0.5, 1.0], d) if rng.random() < 0.5 \
+            else rng.uniform(-1.0, 1.0, d) * (rng.random(d) < 0.8)
+        upper = rng.choice([0.0, 0.5, 1.0], d) if rng.random() < 0.3 else rng.uniform(0.0, 1.0, d)
+        b = float(rng.uniform(max(0.0, float(np.minimum(a, 0.0) @ upper)) + 1e-9, 1.5))
+        if rng.random() < 0.3:
+            theta = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], d)
+        else:
+            theta = rng.uniform(-1.0, 1.0, d) * (rng.random(d) < 0.8)
+        h = Halfspaces([a], [b], upper)
+        value, x = h.support_and_point(theta)
+        ref_value, ref_x = _support_knapsack_numpy(theta, a, b, upper)
+        assert value == ref_value and np.array_equal(x, ref_x)
+        assert h.support(theta) == ref_value and np.array_equal(h.support_point(theta), ref_x)
+        checked += 1
+    assert checked == 3000
+
+
+def test_support_and_point_matches_separate_calls():
+    rng = np.random.default_rng(4)
+    sets = [Box(np.array([0.1, 0.0, 0.2]), np.array([0.6, 0.5, 0.9])),
+            VPolytope(rng.random((6, 3))),
+            Halfspaces([[0.6, 0.48, 0.64]], [0.5]),
+            Halfspaces([[0.6, 0.48, 0.64], [1.0, 0.0, 1.0]], [0.5, 0.7])]
+    for s in sets:
+        ws_pair, ws_calls = {}, {}
+        for _ in range(50):
+            theta = rng.uniform(-1.0, 1.0, 3)
+            value, point = s.support_and_point(theta, ws_pair)
+            assert value == s.support(theta, ws_calls)
+            assert np.array_equal(point, s.support_point(theta, ws_calls))
+
+
+def test_project_l2_ball_matches_linalg_norm():
+    rng = np.random.default_rng(9)
+    for _ in range(2000):
+        v = rng.standard_normal(int(rng.integers(1, 8))) * 10.0 ** rng.integers(-3, 3)
+        radius = float(rng.choice([0.5, 1.0, 3.0, np.inf]))
+        nrm = np.linalg.norm(v)
+        expected = v if (nrm <= radius or not math.isfinite(radius)) else v * (radius / nrm)
+        assert np.array_equal(project_l2_ball(v, radius), expected)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -303,3 +304,159 @@ def test_bwk_stop_time_at_most_horizon_plus_one(tmp_path):
     summary = run_experiment(config_from_json(doc))
     for row in summary["per_seed"]:
         assert row["stop_time"] is None or row["stop_time"] <= 31
+
+
+# Recorded per-seed CSV hashes: every variant at T = 300 on the criterion-7
+# instance (d = 3, m = 5; linear or separable objective, target x2 + x3 <= 0.8)
+# and the criterion-8 one (25 arms, budget T/4), with the default confidence
+# parameter (vacuous intervals, clamped bounds) and with gamma = 0.1 (interior
+# bounds).  Refactors of the per-step path must keep every byte.  They were
+# recorded with numpy 2.4.6 on x86-64 (OpenBLAS); another numpy or BLAS may
+# round an inner product differently, which the failure message names.
+_TRACE_T = 300
+_TRACE_SEEDS = (1, 2)
+_C7_INSTANCE = {"d": 3, "m": 5, "outcome_kind": "bernoulli", "mean_matrix": [
+    0.85, 0.45, 0.30, 0.20, 0.10, 0.15, 0.60, 0.80, 0.35, 0.50, 0.10, 0.55, 0.25, 0.75, 0.45]}
+_C7_LINEAR = {"kind": "linear", "coefficients": [0.9, 0.05, 0.05]}
+_C7_SEPARABLE = {"kind": "separable", "terms": [
+    {"kind": "log1p", "weight": 1.0},
+    {"kind": "quad", "weight": 0.5, "center": 0.4},
+    {"kind": "log1p", "weight": 0.5},
+]}
+_C7_TARGET = {"kind": "halfspaces", "normals": [[0.0, 1.0, 1.0]], "offsets": [0.8]}
+
+
+def _c8_instance():
+    rng = np.random.default_rng(1234)
+    rewards = np.concatenate([[0.9], rng.uniform(0.05, 0.3, 24)])
+    cons = np.concatenate([[0.5], np.zeros(24)])
+    return {"d": 2, "m": 25, "outcome_kind": "bernoulli",
+            "mean_matrix": np.vstack([rewards, cons]).ravel().tolist()}
+
+
+def _trace_configs():
+    def c7(algorithm, objective=_C7_LINEAR, target=True):
+        doc = {"instance": _C7_INSTANCE, "algorithm": algorithm}
+        if objective is not None:
+            doc["objective"] = objective
+        if target:
+            doc["constraint_set"] = _C7_TARGET
+        return doc
+
+    def c8(variant):
+        return {"instance": _c8_instance(),
+                "algorithm": {"variant": variant, "budget": _TRACE_T / 4.0}}
+
+    configs = {
+        "ucb_bwcr": c7({"variant": "ucb_bwcr"}),
+        "ucb_bwk": c8("ucb_bwk"),
+        "dual_oco_objective": c7({"variant": "dual_oco"}, target=False),
+        "dual_oco_constraint": c7({"variant": "dual_oco"}, objective=None),
+        "dual_oco_entropic": c7({"variant": "dual_oco", "oco_kind": "entropic"},
+                                objective=_C7_SEPARABLE, target=False),
+        "fw_primal": c7({"variant": "fw_primal"}, target=False),
+        "fw_primal_separable": c7({"variant": "fw_primal"}, objective=_C7_SEPARABLE,
+                                  target=False),
+        "fw_bwc": c7({"variant": "fw_bwc"}, objective=None),
+        "combined": c7({"variant": "combined"}),
+        "combined_primal": c7({"variant": "combined", "theta_update": "primal",
+                               "phi_update": "primal"}, objective=_C7_SEPARABLE),
+        "combined_entropic": c7({"variant": "combined", "oco_kind": "entropic"},
+                                objective=_C7_SEPARABLE),
+        "greedy_bwk": c8("greedy_bwk"),
+    }
+    for name, doc in list(configs.items()):
+        configs[name + "_gamma"] = dict(doc, algorithm=dict(doc["algorithm"], gamma=0.1))
+    for doc in configs.values():
+        doc.update(horizon=_TRACE_T, seeds=list(_TRACE_SEEDS))
+    return configs
+
+
+_RECORDED_TRACE_SHA256 = {
+    "ucb_bwcr": (
+        "aee6f23d09a24c7dfe33612bef2d989a89ce63c7c9a8f4c48aa55d116ae49d1e",
+        "eee0f4ea49ac6b821049845f606c6870e15a35e16375eab5ff90c235b5dfe8d0"),
+    "ucb_bwk": (
+        "a974869e1b9510f275daa54cb80bd85480e1306b55db32eceed2553d87cd7530",
+        "de0809eceb54e4b9b010b798a4728d64386cb1bf4abaaf92357178b99d9ffd86"),
+    "dual_oco_objective": (
+        "33615a9a6519af81ea9f7700174493a326cbee60a32cf17a27900954c74cdb93",
+        "ef1f4075b527e0d8aa577178dd75c1df9c17e07f5d896a12db77765efad834fd"),
+    "dual_oco_constraint": (
+        "d353e07c6608c0186f518440c4574170a23a4dfeb035196507c137977204851e",
+        "2b509d37e36b9a1dae348f349a052cccd391b7361cccc47d3eb78c896811c12b"),
+    "dual_oco_entropic": (
+        "cc5d20108b6f00a7e17bdd98de955e7e71b2e8d1099bee4322785a79f466cabe",
+        "c64f05fadd1145d6a4a49103c8f3286001b8cd3a7828b44d3d391543e0897bec"),
+    "fw_primal_separable": (
+        "b013dfa725e3dc4b4a7ae752d74c1317f0201900afae3c747d3806e2dcfd45e6",
+        "4e37b87385b724a23fc09412a765c48a098a24b4d0c4fccf61ab9d28e8c55900"),
+    "fw_primal": (
+        "568e71ef1499aae3e0bbc7f81390ef8c0f7bb308a2f5aceeed58944b620dbb01",
+        "61dddb63f72df6c27c0815dd3557cc30c9cc73df4c7b4040ed5f575733168e8c"),
+    "fw_bwc": (
+        "1a06982843ef801747c9fe32ebedc31a924586d20967aaed3ffc701a00e1c8cc",
+        "d20d83353d5f1e0a23c7e489a2dcc6dd50dd951ebec240fe17b617439dd5a9df"),
+    "combined": (
+        "15599c9d25ce288ed66310f4bc88dd388c9179e5213531e07c7fac8d20dc0488",
+        "54cc3887b3dfebe4951fc191738e8917a478346f8b75181a5e1a99b82e7fe3ec"),
+    "combined_primal": (
+        "c1624eb6eaccb412cf3d88b098cdecbddb9157c7e7518ed337192af4bd860f10",
+        "c2542fd533428abdaa79fbac0aa390715c7a820dbb96a02d8900a50e27a0eddd"),
+    "combined_entropic": (
+        "1a7075fad6d5a8bdf6316e00052c81cf2d805168e53e75a867d4b28d9fb6ec0a",
+        "038ef3f97c99a90df3e3465ab34cf0b9739c9c41814c13c46c7f4fdc6c2b774e"),
+    "greedy_bwk": (
+        "a974869e1b9510f275daa54cb80bd85480e1306b55db32eceed2553d87cd7530",
+        "de0809eceb54e4b9b010b798a4728d64386cb1bf4abaaf92357178b99d9ffd86"),
+    "ucb_bwcr_gamma": (
+        "8b649bf2b79cc21edcce6b6ef845e6c8f8b86f0f6a0d13c5b5e0a5cb6438461e",
+        "8de123c1d3f5bad964a46cf51120b76d79614e59d63f286de88af7b330d7626e"),
+    "ucb_bwk_gamma": (
+        "2ec62ea5b4efab08009b870de84a0911521748968f616bdeca8a7eac1233e72c",
+        "677718e316759b81dcd9c0a00565791c1814646fdc3b5485398a7ee0f02a0634"),
+    "dual_oco_objective_gamma": (
+        "5188b01d905c59b0264131fd15cf81a113038621698a23f7a4202afaafe0ccc2",
+        "1b9202b0ad6f44778c0c625ac8840ff91ec14f5637a1dd05896ba04e3ecda8fb"),
+    "dual_oco_constraint_gamma": (
+        "6c39a63734d9f61c25c9bd2146d2dfeca023d5a8a45f6a1c29403d7f33091d48",
+        "db9704cc9d2491903f9a172524a9a205aa10fadcc9b08bf0c7756780e53ae198"),
+    "dual_oco_entropic_gamma": (
+        "98d81e0e2a6ee64366a220aaed5380be29fd642cc207c78c89d276fb7506c13c",
+        "0e1b846d0b24d426737f8dd21b1bf7f344af7b6052ce6cf9ad9c83b753905096"),
+    "fw_primal_separable_gamma": (
+        "98d81e0e2a6ee64366a220aaed5380be29fd642cc207c78c89d276fb7506c13c",
+        "0e1b846d0b24d426737f8dd21b1bf7f344af7b6052ce6cf9ad9c83b753905096"),
+    "fw_primal_gamma": (
+        "5188b01d905c59b0264131fd15cf81a113038621698a23f7a4202afaafe0ccc2",
+        "1b9202b0ad6f44778c0c625ac8840ff91ec14f5637a1dd05896ba04e3ecda8fb"),
+    "fw_bwc_gamma": (
+        "75af8eb8dc1102d62940cef8efb1d720426f1c728e54cecbb49210722affa0cc",
+        "5a64e9e31431ab057e433e1b3d07d106f6460e401692fc29f9137bffa2d035ff"),
+    "combined_gamma": (
+        "8b649bf2b79cc21edcce6b6ef845e6c8f8b86f0f6a0d13c5b5e0a5cb6438461e",
+        "8de123c1d3f5bad964a46cf51120b76d79614e59d63f286de88af7b330d7626e"),
+    "combined_primal_gamma": (
+        "27e2f79b594883499257e75440ace35f7110b82576729f6ffbbed136b986b936",
+        "ee508059ab4d93491a2e849d3af4a5f411c3018f04c0caeb6f45e90fa0ca288d"),
+    "combined_entropic_gamma": (
+        "27e2f79b594883499257e75440ace35f7110b82576729f6ffbbed136b986b936",
+        "ee508059ab4d93491a2e849d3af4a5f411c3018f04c0caeb6f45e90fa0ca288d"),
+    "greedy_bwk_gamma": (
+        "a43b58c42d8c612980701409102586ade9a9108c705e924bcbbcd5c99bc37791",
+        "00514e793e896932ab6d2e9dfcc61a3f1c34de6c78ba4009231a58a264457f4e"),
+}
+
+
+def test_recorded_trace_hashes(tmp_path):
+    configs = _trace_configs()
+    assert sorted(configs) == sorted(_RECORDED_TRACE_SHA256)
+    mismatched = []
+    for name, doc in configs.items():
+        run_experiment(config_from_json(doc), out_dir=str(tmp_path / name))
+        for seed, recorded in zip(_TRACE_SEEDS, _RECORDED_TRACE_SHA256[name]):
+            digest = hashlib.sha256((tmp_path / name / f"seed_{seed}.csv").read_bytes())
+            if digest.hexdigest() != recorded:
+                mismatched.append(f"{name}/seed_{seed}")
+    assert not mismatched, (f"per-seed CSVs differ from the recorded hashes (recorded "
+                            f"with numpy 2.4.6; this is numpy {np.__version__}): {mismatched}")

@@ -7,7 +7,7 @@ import pytest
 from bwcr.errors import UnsupportedError
 from bwcr.geometry import Box, Halfspaces, NormPair
 from bwcr.objective import (LinearObjective, NegativeDistance, SeparableObjective,
-                            duality_gap_check, fenchel, minimize_separable_ball,
+                            _clip_domain, duality_gap_check, fenchel, minimize_separable_ball,
                             objective_from_json, smoothed)
 
 
@@ -47,6 +47,36 @@ def test_domain_clipping_warns():
         warnings.simplefilter("always")
         assert f.value(np.array([1.5])) == pytest.approx(1.0)
     assert caught and "clipping" in str(caught[0].message)
+
+
+def _old_domain_check_warns(x):
+    # the elementwise test the domain check used before its min/max fast path
+    x = np.asarray(x, dtype=float)
+    return bool(np.any(x < -1e-12) or np.any(x > 1.0 + 1e-12))
+
+
+def test_clip_domain_warns_exactly_where_elementwise_check_did():
+    eps = 1e-12
+    nan = math.nan
+    cases = [[], np.zeros((0, 3)), [0.5], 0.5, [nan], [nan, nan], [nan, 0.5],
+             [nan, -1.0], [2.0, nan], [-eps], [-eps, 1.0 + eps], [-2 * eps],
+             [1.0 + 2 * eps], [np.nextafter(-eps, -1.0)], [np.nextafter(1.0 + eps, 2.0)],
+             [0.0, 1.0], [-0.0], [np.inf], [-np.inf, 0.5], [[0.2, 1.5], [0.1, 0.3]],
+             [[0.2, nan], [0.1, 0.3]]]
+    rng = np.random.default_rng(2)
+    cases += [rng.uniform(-3 * eps, 1.0 + 3 * eps, int(rng.integers(1, 6)))
+              for _ in range(300)]
+    warned_cases = 0
+    for x in cases:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = _clip_domain(x)
+        expected = _old_domain_check_warns(x)
+        assert (len(caught) == 1) == expected and len(caught) <= 1, x
+        assert np.array_equal(out, np.clip(np.asarray(x, dtype=float), 0.0, 1.0),
+                              equal_nan=True)
+        warned_cases += expected
+    assert 0 < warned_cases < len(cases)
 
 
 def test_fenchel_examples():

@@ -630,6 +630,23 @@ def test_lp_problem_validation():
     LpProblem(np.array([0.5]), np.array([[0.0]]), 0.5, eps=1.0)  # zero-budget limit allowed
 
 
+def test_lp_problem_checked_and_unchecked_constructors():
+    # the public constructor keeps its range checks on rewards and consumption
+    good_r, good_c = np.array([0.2, 0.9]), np.array([[0.5, 0.1], [0.0, 0.2]])
+    for r, c in [(np.array([0.2, 1.0 + 1e-9]), good_c), (np.array([-1e-9, 0.5]), good_c),
+                 (good_r, np.array([[0.5, 1.0 + 1e-9], [0.0, 0.0]])),
+                 (good_r, np.array([[0.5, 0.1], [-1e-9, 0.0]]))]:
+        with pytest.raises(ValueError, match="must lie in"):
+            LpProblem(r, c, 0.3, 0.1)
+    # the unchecked one wraps the same arrays and solves the same LP
+    checked = LpProblem(good_r, good_c, 0.3, 0.1)
+    unchecked = LpProblem.unchecked(good_r, good_c, 0.3, 0.1)
+    assert unchecked.rewards is good_r and unchecked.consumption is good_c
+    a, b = solve_lp(checked), solve_lp(unchecked)
+    assert a.status == b.status == "optimal" and a.value == b.value
+    assert np.array_equal(a.policy.weights, b.policy.weights) and a.basis == b.basis
+
+
 def test_ellipsoid_region_min_linear_brute_force():
     from bwcr.confidence import EllipsoidState
     rng = np.random.default_rng(21)
