@@ -462,7 +462,7 @@ class CombinedStepper(_StepperBase):
         if p is None:
             pol = self._uniform
         else:
-            pol = PolicyDistribution(p, allow_idle=self.config.allow_idle)
+            pol = PolicyDistribution.unchecked(p, allow_idle=self.config.allow_idle)
         self._x_theta = w_theta.dot(pol.weights)
         self._z_phi = w_phi.dot(pol.weights)
         self._pending_x = self._x_theta
@@ -550,7 +550,7 @@ class GreedyBwkStepper(_StepperBase):
             return idle_policy(self.m)
         w = np.zeros(self.m)
         w[best_arm] = best_prob
-        pol = PolicyDistribution(w, allow_idle=True)
+        pol = PolicyDistribution.unchecked(w, allow_idle=True)
         # the policy is one scaled arm, so V w is that column times its
         # probability: the products with w's zeros add exact zeros
         self._z_t = lcb_c[:, best_arm] * best_prob

@@ -78,19 +78,21 @@ def _verify_checks():
 
     def check_lp_warm():
         # the knapsack example resolved through one workspace: after a reward
-        # change that keeps its basis optimal (certified, no pivot), after one
-        # that does not (pivots), and with a new budget (the form is rebuilt);
-        # each warm solve must match a cold one
+        # change that keeps its basis optimal (certified in scalar floats, no
+        # pivot), after one that does not (pivots), and with a new budget and
+        # rewards that move the optimum (the dense form is rebuilt); each warm
+        # solve must match a cold one
         ws = {}
         cons = np.array([[1.0, 0.0]])
         basis = solve_lp(LpProblem(np.array([1.0, 0.5]), cons, 0.5), workspace=ws).basis
         for rewards, ratio, expect in (([0.9, 0.6], 0.5, "certify"), ([0.2, 0.7], 0.5, "pivot"),
-                                       ([0.2, 0.7], 0.4, "rebuild")):
+                                       ([0.9, 0.6], 0.4, "rebuild")):
             problem = LpProblem(np.array(rewards), cons, ratio)
             before, form = workspace_counts(ws), ws["form"]
             warm = solve_lp(problem, warm_basis=basis, workspace=ws)
             after = workspace_counts(ws)
-            done = {"certify": after["lp_certified"] == before["lp_certified"] + 1,
+            done = {"certify": after["lp_certified"] == before["lp_certified"] + 1
+                    and after["lp_scalar"] == before["lp_scalar"] + 1,
                     "pivot": after["lp_pivots"] > before["lp_pivots"],
                     "rebuild": ws["form"] is not form}[expect]
             cold = solve_lp(problem)

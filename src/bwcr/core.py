@@ -156,6 +156,17 @@ class PolicyDistribution:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "cdf", tuple(accumulate(w.tolist())))
 
+    @classmethod
+    def unchecked(cls, weights: np.ndarray, allow_idle: bool = False) -> "PolicyDistribution":
+        """Wrap a float weight vector without validation (hot paths; the caller
+        guarantees nonnegative weights summing to 1, or to at most 1 with
+        ``allow_idle``, e.g. a normalized LP solution)."""
+        policy = object.__new__(cls)
+        object.__setattr__(policy, "weights", weights)
+        object.__setattr__(policy, "allow_idle", allow_idle)
+        object.__setattr__(policy, "cdf", tuple(accumulate(weights.tolist())))
+        return policy
+
     @property
     def m(self) -> int:
         return self.weights.shape[0]

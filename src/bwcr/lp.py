@@ -26,11 +26,14 @@ stateless call.  One workspace serves one LP family, a fixed shape and fixed
 ``b_ub``/``b_eq``; a call with another shape or rhs rebuilds the form.  The
 workspace also counts the solves made through it (``lp_solves``), the warm
 ones certified with no pivot (``lp_certified``) and the pivots of both
-phases (``lp_pivots``); see :func:`workspace_counts`.  Warm state belongs to
-the caller, typically one run: the basis is passed in and handed back in
-:class:`LpResult` and the workspace is the caller's, so runs that share
-problem data (every seed of an experiment shares the target set) never share
-warm state.
+phases (``lp_pivots``); see :func:`workspace_counts`.  ``lp_scalar`` counts
+the warm bases that :mod:`bwcr.solvers` certified in scalar floats, for LPs
+with one constraint row besides the simplex, without calling this module;
+each of those also counts as one solve and one certified solve.  Warm state
+belongs to the caller, typically one run: the basis is passed in and handed
+back in :class:`LpResult` and the workspace is the caller's, so runs that
+share problem data (every seed of an experiment shares the target set) never
+share warm state.
 """
 from __future__ import annotations
 
@@ -45,7 +48,7 @@ _TOL = 1e-9
 _PIV_TOL = 1e-11
 _FEAS_TOL = 1e-9    # least basic value a warm basis may carry and stay feasible
 
-COUNTERS = ("lp_solves", "lp_certified", "lp_pivots")
+COUNTERS = ("lp_solves", "lp_certified", "lp_pivots", "lp_scalar")
 
 
 @dataclass
@@ -60,7 +63,8 @@ class LpResult:
 
 
 def workspace_counts(workspace: dict) -> dict:
-    """Solves, certified warm solves and pivots made through ``workspace``."""
+    """Solves, certified warm solves, pivots and scalar certifies made
+    through ``workspace``."""
     return {key: workspace.get(key, 0) for key in COUNTERS}
 
 

@@ -4,6 +4,8 @@ Three pieces live here:
 
 * :func:`solve_lp` - the budgeted simplex LP  max r.p  s.t.  C p <= beta 1,
   p in the simplex (the knapsack step), on top of the dense tableau solver.
+  LPs with one constraint row certify a warm basis in scalar floats first
+  (:func:`_certify_pair`), as does the linear step below with one halfspace.
 * :func:`solve_ucb_step` - the optimistic step: maximize
   psi(p) = max over confidence region of f(V~ p)  subject to the region
   touching the target set.  Over an interval region the achievable set for
@@ -28,7 +30,7 @@ from .core import PolicyDistribution
 from .errors import ConfigError, SolverLimitError, UnsupportedError
 from .geometry import (Box, ConvexSet, Halfspaces, VPolytope, project_l2_ball,
                        project_simplex)
-from .lp import solve_dense_lp
+from .lp import _FEAS_TOL, _TOL, solve_dense_lp
 from .objective import LinearObjective, Objective, minimize_separable_ball
 
 
@@ -77,20 +79,82 @@ class LpStepResult:
     basis: Optional[list] = None
 
 
+def _certify_pair(r: list, a: list, cap: float, u: int, v: int, zero_rows=()):
+    """Scalar warm certify of  max r.p  s.t.  a.p <= cap, p in the simplex.
+
+    ``u`` and ``v`` are the previous basis's two columns: arms (< len(r)) or
+    len(r), the constraint's slack.  The dense solver's own tests are applied
+    to that basis, solved as a 2x2 system in floats: B nonsingular, every
+    x_B >= -_FEAS_TOL, every reduced cost <= _TOL.  A row w of ``zero_rows``
+    adds a basic variable -w.p, which must be >= -_FEAS_TOL too.  Returns
+    (p, value) with p = max(x_B, 0) normalized, or None when a test fails or
+    the columns are no basis of this LP (the caller then runs the dense
+    solver).
+    """
+    slack = len(r)
+    if u == slack:
+        u, v = v, u
+    if not (0 <= u < slack and 0 <= v <= slack and u != v):
+        return None
+    au, ru = a[u], r[u]
+    if v == slack:              # arm u alone, the constraint slack basic
+        xu, xv, yh, ye = 1.0, cap - au, 0.0, ru
+    else:                       # arms u and v meet the constraint with equality
+        av = a[v]
+        det = au - av
+        if det == 0.0:
+            return None
+        xu, xv = (cap - av) / det, (au - cap) / det
+        yh = (ru - r[v]) / det
+        ye = ru - yh * au
+    if xu < -_FEAS_TOL or xv < -_FEAS_TOL or -yh > _TOL:
+        return None
+    for w in zero_rows:
+        if w[u] * xu + (w[v] * xv if v < slack else 0.0) > _FEAS_TOL:
+            return None
+    for rj, aj in zip(r, a):
+        if rj - (yh * aj + ye) > _TOL:
+            return None
+    p = np.zeros(slack)
+    xu = max(xu, 0.0)
+    if v == slack:
+        p[u] = 1.0
+        return p, ru
+    xv = max(xv, 0.0)
+    total = xu + xv
+    p[u], p[v] = xu / total, xv / total
+    return p, ru * xu + r[v] * xv
+
+
+def _count_scalar(ws: dict):
+    """Count a scalar certify as a solve, a certified solve and a scalar one."""
+    for key in ("lp_solves", "lp_certified", "lp_scalar"):
+        ws[key] = ws.get(key, 0) + 1
+
+
 def solve_lp(problem: LpProblem, warm_basis: Optional[list] = None,
              workspace: Optional[dict] = None) -> LpStepResult:
     """Solve the budgeted simplex LP, warm from ``warm_basis`` if given.
 
     ``workspace`` is a caller-owned dict for a run's sequence of these LPs: it
     keeps the rhs arrays and the LP's standard form between calls (see
-    :mod:`bwcr.lp`); results are the same with or without it.
+    :mod:`bwcr.lp`); results are the same with or without it.  With one
+    consumption row a warm basis is first certified in scalar floats by
+    :func:`_certify_pair`; only a basis that fails goes to the dense solver.
     """
     m, k = problem.rewards.shape[0], problem.consumption.shape[0]
     beta = (1.0 - problem.eps) * problem.budget_ratio
     ws = {} if workspace is None else workspace
     if ws.get("rhs_key") != (k, m, beta):
         ws.update(rhs_key=(k, m, beta), b_ub=np.full(k, beta), a_eq=np.ones((1, m)),
-                  b_eq=np.ones(1))
+                  b_eq=np.ones(1), one_row=k == 1)
+    if ws["one_row"] and warm_basis is not None and len(warm_basis) == 2:
+        certified = _certify_pair(problem.rewards.tolist(), problem.consumption[0].tolist(),
+                                  beta, *warm_basis)
+        if certified is not None:
+            _count_scalar(ws)
+            return LpStepResult(status="optimal", policy=PolicyDistribution.unchecked(
+                certified[0]), value=certified[1], basis=warm_basis)
     res = solve_dense_lp(problem.rewards, a_ub=problem.consumption, b_ub=ws["b_ub"],
                          a_eq=ws["a_eq"], b_eq=ws["b_eq"], basis=warm_basis,
                          workspace=workspace)
@@ -213,6 +277,9 @@ def _step_skeleton(d: int, m: int, f: Objective, s: Optional[ConvexSet]) -> dict
         rhs.extend([s.offsets[:1], s.upper[clipped]])
         ws.update(clipped=clipped, a_pos=np.maximum(s.normals[0], 0.0),
                   a_neg=np.minimum(s.normals[0], 0.0))
+        if linear and clipped.size == 0:
+            # the one-constraint form that _certify_step reduces to 2x2
+            ws.update(one_row_cap=float(s.offsets[0]), one_row_shape=(None, None))
     elif explicit:
         rhs.extend([np.zeros(2 * d), np.concatenate([s.offsets, s.upper])])
     elif isinstance(s, VPolytope):
@@ -255,6 +322,67 @@ def _fill_intervals(ws: dict, hc: Hypercube) -> np.ndarray:
     return a_ub
 
 
+def _one_row_shape(basis: list, c: np.ndarray, ws: dict, m: int, d: int):
+    """Reduce a basis of the one-halfspace linear step LP to its 2x2 core.
+
+    Rows j and d + j (L_j p <= z_j <= U_j p) touch only z_j and their two
+    slacks, and the halfspace and simplex rows only p and the halfspace
+    slack.  So a basis with two columns of the latter kind (arms, or the
+    halfspace slack) holds two of the three columns of each j:
+
+    * z_j and row j's slack: row d + j is tight, z_j = U_j p, priced -c_j;
+    * z_j and row d + j's slack: z_j = L_j p, priced c_j;
+    * both slacks: z_j = 0 is nonbasic, priced c_j, and row j's slack,
+      -L_j p, must stay >= -_FEAS_TOL.
+
+    Eliminating z then leaves  max r.p  s.t.  g.p <= offset  over the
+    simplex, with r = sum_j c_j z_j(p) and g = a+ L + a- U the halfspace row.
+    Returns (u, v, wu, wl), where wu U + wl L stacks r, g and the rows L_j
+    of the nonbasic z_j, or None for any other basis or a price above _TOL.
+    """
+    nz, slack_h = m + d, m + 3 * d
+    if len(basis) != 2 * d + 2 or len(set(basis)) != len(basis):
+        return None
+    pair, held = [], [0] * d        # held[j]: bit 0 z_j, bit 1 row j's slack, bit 2 row d+j's
+    for j in basis:
+        if 0 <= j < m or j == slack_h:
+            pair.append(min(j, m))      # the halfspace slack is column m of the 2x2
+        elif m <= j < nz:
+            held[j - m] |= 1
+        elif nz <= j < slack_h:
+            held[(j - nz) % d] |= 2 << ((j - nz) // d)
+        else:
+            return None
+    # 2d + 2 distinct columns, two of them in the pair: two per j unless
+    # some j holds three and another one
+    if len(pair) != 2 or any(h not in (3, 5, 6) for h in held):
+        return None
+    held = np.array(held)
+    if np.any(np.where(held == 3, -c, c) > _TOL):
+        return None
+    free = np.flatnonzero(held == 6)
+    wu = np.vstack([np.where(held == 3, c, 0.0), ws["a_neg"], np.zeros((free.size, d))])
+    wl = np.vstack([np.where(held == 5, c, 0.0), ws["a_pos"], np.eye(d)[free]])
+    return pair[0], pair[1], wu, wl
+
+
+def _certify_step(ws: dict, hc: Hypercube, c: np.ndarray, basis: list):
+    """Scalar warm certify of the linear step LP with one unclipped halfspace:
+    (p, value) as from :func:`_certify_pair` on the reduction of
+    :func:`_one_row_shape`, or None.  The reduction of the last basis seen is
+    kept in ``ws``, as a certified step hands its basis on unchanged."""
+    key, shape = ws["one_row_shape"]
+    if basis != key:
+        d, m = hc.lcb.shape
+        shape = _one_row_shape(basis, c, ws, m, d)
+        ws["one_row_shape"] = (list(basis), shape)
+    if shape is None:
+        return None
+    u, v, wu, wl = shape
+    rows = (wu @ hc.ucb + wl @ hc.lcb).tolist()
+    return _certify_pair(rows[0], rows[1], ws["one_row_cap"], u, v, rows[2:])
+
+
 def _simplex_point(x: np.ndarray) -> np.ndarray:
     p = np.maximum(x, 0.0)
     return p / p.sum()
@@ -267,7 +395,9 @@ def _interval_step(region: HypercubeRegion, f: Objective, s, warm, workspace) ->
     concave program max f(z_r) over the polytope of :func:`_step_skeleton`.
     A linear f makes it one LP, warm-started from the previous step's basis;
     ``workspace`` keeps that LP's standard form and basis inverse (see
-    :mod:`bwcr.lp`), and counts the LP solves of every round.
+    :mod:`bwcr.lp`), and counts the LP solves of every round.  With one
+    unclipped halfspace the warm basis is first certified in scalar floats
+    (:func:`_certify_step`); only a basis that fails goes to the dense LP.
     Any other f is solved by Kelley's cutting planes: each round adds the cut
     t <= f(y) + g(y) . (z_r - y) at the previous LP's z_r and stops once the
     LP bound exceeds the best f(z_r) found by at most GAP_TOL.  Rounds are
@@ -278,19 +408,28 @@ def _interval_step(region: HypercubeRegion, f: Objective, s, warm, workspace) ->
     ws = workspace if workspace is not None else {}
     if "a_ub" not in ws:
         ws.update(_step_skeleton(d, m, f, s))
-    a_ub = _fill_intervals(ws, region.hc)
     if ws["linear"]:
-        res = solve_dense_lp(ws["cost"], a_ub=a_ub, b_ub=ws["b_ub"], a_eq=ws["a_eq"],
-                             b_eq=ws["b_eq"], basis=warm.basis if warm is not None else None,
-                             workspace=ws)
-        if res.status != "optimal":
-            return StepResult(feasible=False, policy=None, objective=math.nan, x=None, rounds=1)
-        p = _simplex_point(res.x[:m])
+        basis = warm.basis if warm is not None else None
+        certified = None
+        if basis is not None and "one_row_cap" in ws:
+            certified = _certify_step(ws, region.hc, f.c, basis)
+        if certified is not None:
+            _count_scalar(ws)
+            policy = PolicyDistribution.unchecked(certified[0])
+        else:
+            res = solve_dense_lp(ws["cost"], a_ub=_fill_intervals(ws, region.hc),
+                                 b_ub=ws["b_ub"], a_eq=ws["a_eq"], b_eq=ws["b_eq"],
+                                 basis=basis, workspace=ws)
+            if res.status != "optimal":
+                return StepResult(feasible=False, policy=None, objective=math.nan, x=None,
+                                  rounds=1)
+            policy, basis = PolicyDistribution(_simplex_point(res.x[:m])), res.basis
         # report the unconstrained-witness objective psi(p) = max over the box
-        lo, hi = region.intervals(p)
+        lo, hi = region.intervals(policy.weights)
         z_r = np.where(f.c >= 0.0, hi, lo)
-        return StepResult(feasible=True, policy=PolicyDistribution(p), objective=float(f.c @ z_r),
-                          x=z_r, gap=0.0, rounds=1, basis=res.basis)
+        return StepResult(feasible=True, policy=policy, objective=float(f.c @ z_r),
+                          x=z_r, gap=0.0, rounds=1, basis=basis)
+    a_ub = _fill_intervals(ws, region.hc)
 
     # a coordinate whose upper bounds are all 0 is 0 on the whole feasible
     # set: cut there at 0 with slope 0, whatever f's slope at 0 (sqrt: inf)

@@ -6,7 +6,8 @@ import pytest
 from bwcr.algorithms import AlgorithmConfig, _simplex_one_constraint, make_algorithm
 from bwcr.benchmark import compute_opt
 from bwcr.confidence import Hypercube, vertex
-from bwcr.core import IDLE, InstanceModel, substream
+from bwcr.core import (IDLE, InstanceModel, PolicyDistribution, draw_arm, sample_observation,
+                       substream)
 from bwcr.errors import ConfigError
 from bwcr.geometry import Box, Halfspaces
 from bwcr.harness import run_single
@@ -275,6 +276,43 @@ def test_simplex_one_constraint_against_grid():
             best = (pts[feas] @ cost).min()
             assert p is not None
             assert float(cost @ p) <= best + 1e-6
+
+
+def test_unchecked_policies_match_checked():
+    # combined and greedy_bwk wrap the policies they build without the
+    # constructor's checks: on those policies the unchecked wrapper must give
+    # the weights and CDF of the checked constructor
+    rng = np.random.default_rng(5)
+    policies = []
+    for allow_idle in (False, True):
+        for _ in range(200):
+            m = int(rng.integers(1, 6))
+            p = _simplex_one_constraint(rng.uniform(-1, 1, m), rng.uniform(-0.5, 1.0, m),
+                                        float(rng.uniform(-0.2, 0.8)), allow_idle)
+            if p is not None:
+                policies.append((p, allow_idle))
+    inst = InstanceModel(rng.uniform(0.0, 1.0, (3, 4)), "bernoulli")
+    target = Halfspaces(np.array([[0.0, 1.0, 1.0]]), np.array([0.8]))
+    for cfg in (AlgorithmConfig(variant="greedy_bwk", horizon=200, budget=40.0),
+                AlgorithmConfig(variant="combined", horizon=200,
+                                objective=LinearObjective(np.array([0.9, 0.05, 0.05])),
+                                constraint_set=target, allow_idle=True)):
+        algo = make_algorithm(cfg, inst)
+        rng_arms, rng_obs = substream(1, 0, 0), substream(1, 0, 1)
+        for t in range(1, cfg.horizon + 1):
+            pol = algo.step(t)
+            if not isinstance(pol, PolicyDistribution):
+                break   # greedy_bwk stopped
+            policies.append((pol.weights, pol.allow_idle))
+            arm = draw_arm(pol, rng_arms)
+            algo.observe(arm, sample_observation(inst, arm, rng_obs) if arm != IDLE
+                         else np.zeros(inst.d))
+    assert len(policies) > 400
+    for w, allow_idle in policies:
+        checked = PolicyDistribution(w, allow_idle=allow_idle)
+        unchecked = PolicyDistribution.unchecked(w, allow_idle=allow_idle)
+        assert np.array_equal(checked.weights, unchecked.weights)
+        assert checked.cdf == unchecked.cdf and checked.allow_idle == unchecked.allow_idle
 
 
 def test_combined_unconstrained_picks_argmin():

@@ -119,9 +119,12 @@ def test_run_experiment_row_count_and_summary(tmp_path):
     assert (tmp_path / "out" / "summary.json").exists()
     per_seed = summary["per_seed"][0]
     assert per_seed["infeasible_steps"] == 0
-    # one warm-started step LP per step; only the first is solved cold
+    # one warm-started step LP per step; only the first is solved cold.  The
+    # target is one halfspace, so every certified warm basis is certified in
+    # scalar floats
     assert per_seed["lp_solves"] == 10
     assert 0 <= per_seed["lp_certified"] <= 9 and per_seed["lp_pivots"] > 0
+    assert per_seed["lp_scalar"] == per_seed["lp_certified"]
     assert "infeasible" not in lines[0] and "lp_" not in lines[0]
     doc = _config_doc(tmp_path, horizon=10, seeds=(1,))
     doc["algorithm"] = {"variant": "dual_oco"}
@@ -129,11 +132,12 @@ def test_run_experiment_row_count_and_summary(tmp_path):
     per_seed = run_experiment(config_from_json(doc))["per_seed"][0]
     assert per_seed["infeasible_steps"] is None
     # the linear objective's conjugate argmax is closed-form: no LP solved
-    assert (per_seed["lp_solves"], per_seed["lp_certified"], per_seed["lp_pivots"]) == (0, 0, 0)
+    assert (per_seed["lp_solves"], per_seed["lp_certified"], per_seed["lp_pivots"],
+            per_seed["lp_scalar"]) == (0, 0, 0, 0)
     doc["algorithm"] = {"variant": "fw_primal"}
     per_seed = run_experiment(config_from_json(doc))["per_seed"][0]
-    assert (per_seed["lp_solves"], per_seed["lp_certified"], per_seed["lp_pivots"]) == \
-        (None, None, None)
+    assert (per_seed["lp_solves"], per_seed["lp_certified"], per_seed["lp_pivots"],
+            per_seed["lp_scalar"]) == (None, None, None, None)
     assert "lp_" not in (tmp_path / "out" / "seed_1.csv").read_text()
 
 
@@ -228,6 +232,16 @@ def _seed_isolation_doc(variant):
                                            "budget": 100.0}},
                 "algorithm": {"variant": variant, "budget": 100.0},
                 "horizon": 400, "seeds": [1, 2, 3]}
+    if variant == "ucb_bwk_one_resource":
+        return {"instance": {"generator": {"kind": "bwk", "m": 5, "resources": 1,
+                                           "budget": 100.0}},
+                "algorithm": {"variant": "ucb_bwk", "budget": 100.0, "gamma": 0.5},
+                "horizon": 400, "seeds": [1, 2, 3]}
+    if variant == "ucb_bwcr_one_halfspace":
+        return {"instance": _C7_INSTANCE, "objective": _MIXED_SIGN_LINEAR,
+                "constraint_set": _MIXED_SIGN_TARGET,
+                "algorithm": {"variant": "ucb_bwcr", "gamma": 0.5},
+                "horizon": 400, "seeds": [1, 2, 3]}
     doc = {"instance": {"generator": {"kind": "sensor_network", "m": 4, "points": 6}},
            "instance_seed": 3, "algorithm": {"variant": variant},
            "horizon": 400, "seeds": [1, 2, 3]}
@@ -236,20 +250,25 @@ def _seed_isolation_doc(variant):
     return doc
 
 
-@pytest.mark.parametrize("variant", ["dual_oco", "combined", "ucb_bwcr", "ucb_bwk"])
+@pytest.mark.parametrize("variant", ["dual_oco", "combined", "ucb_bwcr", "ucb_bwk",
+                                     "ucb_bwk_one_resource", "ucb_bwcr_one_halfspace"])
 def test_seed_runs_share_no_warm_state(tmp_path, variant):
     # every step solves an LP warm from the run's last basis: the support LP
     # of the sensor target, which has several halfspaces, or the step LP
     # (for ucb_bwcr with the zero objective every feasible basis is optimal,
     # so its plays follow the warm state closely); that state and the LP's
     # workspace must stay with one run, as every seed of an experiment shares
-    # the instance and the target object
+    # the instance and the target object.  One resource, or a linear f with
+    # one halfspace, makes the step LP one constraint row, whose warm bases
+    # are certified in scalar floats
     doc = _seed_isolation_doc(variant)
     _, _, target, _ = resolve_instance(config_from_json(doc))
-    if variant != "ucb_bwk":
+    if variant in ("dual_oco", "combined", "ucb_bwcr"):
         assert isinstance(target, Halfspaces) and target.k > 1
     summary = run_experiment(config_from_json(doc), out_dir=str(tmp_path / "together"))
     assert all(r["lp_solves"] > 0 for r in summary["per_seed"])
+    one_row = variant in ("ucb_bwk_one_resource", "ucb_bwcr_one_halfspace")
+    assert all((r["lp_scalar"] > 0) == one_row for r in summary["per_seed"])
     for seed in doc["seeds"]:
         alone = dict(doc, seeds=[seed])
         run_experiment(config_from_json(alone), out_dir=str(tmp_path / f"alone_{seed}"))
@@ -310,7 +329,8 @@ def test_bwk_stop_time_at_most_horizon_plus_one(tmp_path):
 # instance (d = 3, m = 5; linear or separable objective, target x2 + x3 <= 0.8)
 # and the criterion-8 one (25 arms, budget T/4), with the default confidence
 # parameter (vacuous intervals, clamped bounds) and with gamma = 0.1 (interior
-# bounds).  Refactors of the per-step path must keep every byte.  They were
+# bounds); plus two one-constraint step LPs that mix two arms (gamma = 0.5
+# and 0.1).  Refactors of the per-step path must keep every byte.  They were
 # recorded with numpy 2.4.6 on x86-64 (OpenBLAS); another numpy or BLAS may
 # round an inner product differently, which the failure message names.
 _TRACE_T = 300
@@ -324,6 +344,10 @@ _C7_SEPARABLE = {"kind": "separable", "terms": [
     {"kind": "log1p", "weight": 0.5},
 ]}
 _C7_TARGET = {"kind": "halfspaces", "normals": [[0.0, 1.0, 1.0]], "offsets": [0.8]}
+_MIXED_BWK_INSTANCE = {"d": 2, "m": 3, "outcome_kind": "bernoulli",
+                       "mean_matrix": [0.9, 0.6, 0.2, 0.8, 0.3, 0.0]}
+_MIXED_SIGN_LINEAR = {"kind": "linear", "coefficients": [0.9, -0.4, 0.0]}
+_MIXED_SIGN_TARGET = {"kind": "halfspaces", "normals": [[1.0, -0.5, 0.0]], "offsets": [0.5]}
 
 
 def _c8_instance():
@@ -347,6 +371,17 @@ def _trace_configs():
         return {"instance": _c8_instance(),
                 "algorithm": {"variant": variant, "budget": _TRACE_T / 4.0}}
 
+    # one-constraint step LPs whose optimum mixes two arms on most steps (the
+    # configs above play one arm until the budget or the confidence bounds
+    # move): a three-arm knapsack with a binding budget, and a linear f with
+    # mixed signs and a zero coefficient against a mixed-sign halfspace
+    mixed_bwk = {"instance": _MIXED_BWK_INSTANCE,
+                 "algorithm": {"variant": "ucb_bwk", "budget": 0.4 * _TRACE_T, "eps": 0.0,
+                               "gamma": 0.5}}
+    mixed_sign = c7({"variant": "ucb_bwcr", "gamma": 0.5}, objective=_MIXED_SIGN_LINEAR,
+                    target=False)
+    mixed_sign["constraint_set"] = _MIXED_SIGN_TARGET
+
     configs = {
         "ucb_bwcr": c7({"variant": "ucb_bwcr"}),
         "ucb_bwk": c8("ucb_bwk"),
@@ -364,6 +399,8 @@ def _trace_configs():
         "combined_entropic": c7({"variant": "combined", "oco_kind": "entropic"},
                                 objective=_C7_SEPARABLE),
         "greedy_bwk": c8("greedy_bwk"),
+        "ucb_bwk_mixed": mixed_bwk,
+        "ucb_bwcr_mixed_sign": mixed_sign,
     }
     for name, doc in list(configs.items()):
         configs[name + "_gamma"] = dict(doc, algorithm=dict(doc["algorithm"], gamma=0.1))
@@ -445,6 +482,18 @@ _RECORDED_TRACE_SHA256 = {
     "greedy_bwk_gamma": (
         "a43b58c42d8c612980701409102586ade9a9108c705e924bcbbcd5c99bc37791",
         "00514e793e896932ab6d2e9dfcc61a3f1c34de6c78ba4009231a58a264457f4e"),
+    "ucb_bwk_mixed": (
+        "52ae84cef8a637f37b9f33c3ef7fb0a9a4379714b91c7f4372de9c9af31ef06e",
+        "5745c7598ce9213f597bde67081f1a1e34400a8e2028ac176f70f52565265ed5"),
+    "ucb_bwcr_mixed_sign": (
+        "62357010722953f532f5d4ad7ff8e98c75df5706d2597c4715960ac66ae1bbff",
+        "b913106c1920ae870b76815235545feed89c53643a4d79a050b4a91698befbcd"),
+    "ucb_bwk_mixed_gamma": (
+        "509a27aacadbafe90f9ffff5c3c4ca5bfc6cf4c70d8717514184eab7275bda35",
+        "0657ad8d2d4adc5d01f6a7a3f8cff05c4f8357bdf30b86d4240e11ffe9ab6ed9"),
+    "ucb_bwcr_mixed_sign_gamma": (
+        "3212abe933e05d9e700764d0f84ef2f5a10281078baf7628a313935c4aaf4c4e",
+        "40aa0558232a927b7c5a39378fa4335b7b3181beecdc722046b1388bf8d2b903"),
 }
 
 

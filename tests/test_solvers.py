@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -13,8 +13,8 @@ from bwcr.geometry import Box, Halfspaces, VPolytope
 from bwcr.lp import _bland_iterate, solve_dense_lp
 from bwcr.objective import LinearObjective, NegativeDistance, SeparableObjective
 from bwcr.solvers import (GAP_TOL, EllipsoidRegion, HypercubeRegion, LpProblem,
-                          degenerate_region, entropic_step, make_oco, ogd_step, solve_lp,
-                          solve_ucb_step)
+                          _fill_intervals, _step_skeleton, degenerate_region, entropic_step,
+                          make_oco, ogd_step, solve_lp, solve_ucb_step)
 
 
 def lp_vertex_oracle(r, c, beta):
@@ -553,6 +553,117 @@ def test_ucb_step_certified_property(problem):
         z = (lcb + rng.random((d, m)) * (ucb - lcb)) @ p
         if s is None or s.contains(z, tol=0.0):
             assert f.value(z) <= res.objective + res.gap + 1e-9
+
+
+# the scalar certify of the one-constraint step LPs against the dense solver:
+# entries on a grid of eighths make exact reward ties and equal columns
+# common, a grid of thousandths makes generic ones
+
+
+def _grid(draw, den, shape, lo=0.0, hi=1.0):
+    return draw(hnp.arrays(float, shape, elements=st.integers(0, den).map(
+        lambda k: lo + (hi - lo) * k / den)))
+
+
+def _dense_verdict(c, a_ub, b_ub, a_eq, b_eq, basis, m):
+    """The dense solver warm from ``basis``: (certified with no pivot, the
+    result, its p normalized as the steps play it)."""
+    res = solve_dense_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, basis=basis)
+    if res.status != "optimal":
+        return False, res, None
+    p = np.maximum(res.x[:m], 0.0)
+    return res.pivots == 0, res, p / p.sum()
+
+
+@st.composite
+def _knapsack_bases(draw):
+    """max r.p  s.t.  a.p <= cap  over the simplex, with a basis of two of
+    its columns (arms, or m for the slack): either drawn at random, and then
+    often singular, infeasible or in need of pivots, or the optimal basis of
+    the same LP with other rewards."""
+    m = draw(st.integers(1, 5))
+    den = draw(st.sampled_from([8, 1000]))
+    r, a = _grid(draw, den, m), _grid(draw, den, m)
+    cap = draw(st.integers(1, den).map(lambda k: k / den))
+    if draw(st.booleans()):
+        basis = draw(st.lists(st.integers(0, m), min_size=2, max_size=2, unique=True))
+    else:
+        basis = solve_lp(LpProblem(_grid(draw, den, m), a[None, :], cap)).basis
+    return r, a, cap, basis
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_knapsack_bases())
+def test_scalar_certify_matches_dense_knapsack(case):
+    r, a, cap, basis = case
+    m = r.size
+    ws = {}
+    got = solve_lp(LpProblem(r, a[None, :], cap), warm_basis=basis, workspace=ws)
+    certified, ref, p = _dense_verdict(r, a[None, :], [cap], np.ones((1, m)), [1.0], basis, m)
+    assert ws.get("lp_scalar", 0) == int(certified)
+    assert got.status == ("optimal" if ref.status == "optimal" else "infeasible")
+    if ref.status == "optimal":
+        assert got.basis == ref.basis
+        assert np.allclose(got.policy.weights, p, rtol=0.0, atol=1e-12)
+        assert got.value == pytest.approx(ref.value, abs=1e-12)
+    if certified:
+        assert got.basis == basis
+
+
+@st.composite
+def _one_halfspace_steps(draw):
+    """A linear step over one unclipped halfspace, f with mixed signs and one
+    zero coefficient, and two interval regions: the second step starts from
+    the basis of the first, solved for f or for another linear objective
+    (whose basis may hold z_j at the bound f's sign does not want)."""
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4))
+    den = draw(st.sampled_from([8, 1000]))
+    regions = []
+    for _ in range(2):
+        a, b = _grid(draw, den, (d, m)), _grid(draw, den, (d, m))
+        regions.append(Hypercube(lcb=np.minimum(a, b), ucb=np.maximum(a, b)))
+    if draw(st.booleans()):     # a small move, as between two steps of a run
+        keep = draw(hnp.arrays(bool, (d, m)))
+        lcb = np.where(keep, regions[0].lcb, regions[1].lcb)
+        ucb = np.where(keep, regions[0].ucb, regions[1].ucb)
+        regions[1] = Hypercube(lcb=np.minimum(lcb, ucb), ucb=np.maximum(lcb, ucb))
+    c = _grid(draw, den, d, -1.0, 1.0)
+    c[draw(st.integers(0, d - 1))] = 0.0
+    first_c = c if draw(st.booleans()) else _grid(draw, den, d, -1.0, 1.0)
+    try:
+        s = Halfspaces(_grid(draw, den, (1, d), -1.0, 1.0), _grid(draw, den, 1, -0.5, 1.5))
+    except ValueError:          # empty
+        s = None
+    return regions, LinearObjective(first_c), LinearObjective(c), s
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_one_halfspace_steps())
+def test_scalar_certify_matches_dense_step(case):
+    (first_hc, second_hc), first_f, f, s = case
+    assume(s is not None)
+    d, m = first_hc.lcb.shape
+    first = solve_ucb_step(HypercubeRegion(first_hc), first_f, s)
+    assume(first.feasible)
+    skeleton = _step_skeleton(d, m, f, s)
+    assert "one_row_cap" in skeleton
+    certified, ref, p = _dense_verdict(
+        skeleton["cost"], _fill_intervals(skeleton, second_hc), skeleton["b_ub"],
+        skeleton["a_eq"], skeleton["b_eq"], first.basis, m)
+    ws = {}
+    got = solve_ucb_step(HypercubeRegion(second_hc), f, s, warm=first, workspace=ws)
+    # the scalar path takes the bases with two columns among the arms and the
+    # halfspace slack (column m + 3d); a certified basis with more has a
+    # larger core and is left to the dense solver
+    core = sum(j < m or j == m + 3 * d for j in first.basis)
+    assert ws.get("lp_scalar", 0) == int(certified and core == 2)
+    assert got.feasible == (ref.status == "optimal")
+    if got.feasible:
+        assert got.basis == ref.basis
+        assert np.allclose(got.policy.weights, p, rtol=0.0, atol=1e-12)
+    if certified:
+        assert got.basis == first.basis
 
 
 def test_ucb_step_ellipsoid_region():
