@@ -5,8 +5,9 @@ deterministic given their observation sequence.
 
 Variants:
 
-* ``ucb_bwcr``  - optimistic step over the confidence region (exact LP /
-  cutting-plane step over intervals, saddle search over ellipsoids).
+* ``ucb_bwcr``  - optimistic step over the confidence region: the exact LP /
+  cutting-plane step over per-entry intervals, which contextual instances
+  build from their confidence ellipsoids.
 * ``ucb_bwk``   - budgeted LP step with shrink factor eps; stops on overrun.
 * ``dual_oco``  - linearized dual play driven by an OCO update.
 * ``fw_primal`` - conditional-gradient play at the running-average gradient.
@@ -21,7 +22,7 @@ uniform distribution.  Both choices keep runs reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -32,8 +33,7 @@ from .errors import ConfigError
 from .geometry import Box, ConvexSet, smoothed_distance
 from .lp import workspace_counts
 from .objective import NegativeDistance, Objective, SmoothedObjective
-from .solvers import (EllipsoidRegion, HypercubeRegion, LpProblem, entropic_step,
-                      make_oco, ogd_step, solve_lp, solve_ucb_step)
+from .solvers import LpProblem, entropic_step, make_oco, ogd_step, solve_lp, solve_ucb_step
 
 VARIANTS = ("ucb_bwcr", "ucb_bwk", "dual_oco", "fw_primal", "fw_bwc", "combined", "greedy_bwk")
 
@@ -62,7 +62,6 @@ class AlgorithmConfig:
     sigma: Optional[float] = None
     allow_idle: bool = False
     lipschitz: Optional[float] = None
-    solver: dict = field(default_factory=dict)
     use_known_means: bool = False
 
     def validate(self):
@@ -195,14 +194,12 @@ class UcbBwcrStepper(_StepperBase):
         self.s = config.constraint_set
         if config.eps and self.s is not None:
             self.s = self.s.shrink(config.eps)
-        # contextual instances with unknown means play over confidence
-        # ellipsoids, where the saddle search alone takes solver options
-        self._ellipsoid = instance.contextual is not None and self._known is None
-        self._saddle_options = {}
-        if self._ellipsoid:
+        # contextual instances with unknown means play over the intervals of
+        # their confidence ellipsoids
+        self._contexts = None
+        if instance.contextual is not None and self._known is None:
             self.ell = EllipsoidState(self.d, instance.contextual.n)
             self._contexts = instance.contextual.contexts
-            self._saddle_options = dict(config.solver, lipschitz=config.lipschitz)
         self._warm = None
         self._workspace: dict = {}
         self.infeasible_steps = 0
@@ -210,26 +207,27 @@ class UcbBwcrStepper(_StepperBase):
     def lp_counts(self):
         return workspace_counts(self._workspace)
 
-    def _region(self):
-        if self._ellipsoid:
-            return EllipsoidRegion(self.ell, self._contexts)
-        return HypercubeRegion(self._hypercube())
+    def _hypercube(self) -> Hypercube:
+        """The base class's region, or on a contextual instance the per-entry
+        intervals of the confidence ellipsoids."""
+        if self._contexts is not None:
+            return self.ell.hypercube(self._contexts)
+        return self._cube
 
     def step(self, t: int):
-        region = self._region()
-        res = solve_ucb_step(region, self.f, self.s, warm=self._warm,
-                             workspace=self._workspace, **self._saddle_options)
+        hc = self._hypercube()
+        res = solve_ucb_step(hc, self.f, self.s, warm=self._warm, workspace=self._workspace)
         self._warm = res
         if not res.feasible:
             self.infeasible_steps += 1
-            lo, hi = region.intervals(np.full(self.m, 1.0 / self.m))
-            self._pending_x = 0.5 * (lo + hi)
+            p = np.full(self.m, 1.0 / self.m)
+            self._pending_x = 0.5 * (hc.lcb @ p + hc.ucb @ p)
             return self._uniform
         self._pending_x = res.x
         return res.policy
 
     def _after_observe(self, arm, observation):
-        if self._ellipsoid and arm != IDLE:
+        if self._contexts is not None and arm != IDLE:
             self.ell.update(self._contexts[:, arm, :], observation)
 
 
@@ -579,8 +577,4 @@ def make_algorithm(config: AlgorithmConfig, instance: InstanceModel) -> _Stepper
     config.validate()
     if instance.contextual is not None and config.variant != "ucb_bwcr" and not config.use_known_means:
         raise ConfigError("contextual instances are supported by the ucb_bwcr variant only")
-    if config.solver and (config.variant != "ucb_bwcr" or instance.contextual is None
-                          or config.use_known_means):
-        raise ConfigError("solver options tune the saddle search, which only runs for "
-                          "ucb_bwcr on contextual instances with unknown means")
     return _STEPPERS[config.variant](config, instance)

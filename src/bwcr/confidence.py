@@ -167,6 +167,20 @@ class EllipsoidState:
         diff = w - self.center[j]
         return float(diff @ self.gram[j] @ diff) <= self.radius_sq + tol
 
+    def hypercube(self, contexts: np.ndarray) -> Hypercube:
+        """Per-entry intervals for ``contexts`` shaped (d, m, n): entry (j, i)
+        is x_{j,i} . center_j -+ sqrt(radius_sq) ||x_{j,i}||_{B_j^-1}, the exact
+        range of x_{j,i} . w over the j-th ellipsoid (see
+        :func:`ellipsoid_min_linear`), clipped to [0, 1], the range of every
+        mean.  For every p the box [L p, U p] contains the ellipsoids'
+        achievable set of [0, 1]-valued means, by the triangle inequality.
+        """
+        mid = np.einsum("jin,jn->ji", contexts, self.center)
+        quad = np.einsum("jin,jin->ji", contexts @ self.gram_inv, contexts)
+        half = np.sqrt(self.radius_sq * np.maximum(quad, 0.0))
+        return Hypercube.unchecked(np.clip(mid - half, 0.0, 1.0),
+                                   np.clip(mid + half, 0.0, 1.0))
+
 
 def ellipsoid_min_linear(es: EllipsoidState, j: int, c: np.ndarray) -> float:
     """Exact minimum of c . w over the j-th confidence ellipsoid.

@@ -65,18 +65,6 @@ def _vector_norm(v: np.ndarray, kind: str) -> float:
 L2 = NormPair("l2")
 
 
-def project_simplex(v: np.ndarray, total: float = 1.0) -> np.ndarray:
-    """Euclidean projection onto {p >= 0, sum p = total} (sort algorithm)."""
-    v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - total
-    idx = np.arange(1, v.size + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    tau = css[cond][-1] / rho
-    return np.maximum(v - tau, 0.0)
-
-
 def project_l2_ball(v: np.ndarray, radius: float) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     flat = v.ravel()

@@ -255,7 +255,7 @@ def build_algorithm_config(cfg: ExperimentConfig, objective, cset) -> AlgorithmC
     if variant is None:
         raise ConfigError("algorithm.variant is required")
     known = {"budget", "eps", "gamma", "oco_kind", "theta_update", "phi_update",
-             "sigma", "allow_idle", "lipschitz", "solver", "use_known_means"}
+             "sigma", "allow_idle", "lipschitz", "use_known_means"}
     unknown = set(algo) - known
     if unknown:
         raise ConfigError(f"unknown algorithm fields: {sorted(unknown)}")

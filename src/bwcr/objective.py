@@ -10,7 +10,7 @@ Three families are provided: linear c . x, separable sums from a small
 catalog (sqrt, log(1+x), 1 - (x-a)^2), and the negated distance to a convex
 set (whose conjugate on the dual unit ball is the set's support function).
 Separable structure is exploited for exact inner minimizations over the dual
-ball, which backs the smoothed oracle and the saddle-point solver.
+ball, which backs the smoothed oracle.
 """
 from __future__ import annotations
 
@@ -404,14 +404,13 @@ class SmoothedObjective:
     and sandwiched by f <= f_sigma <= f + sigma L / 2.
     """
 
-    def __init__(self, base: Objective, sigma: float, pg_iters: int = 500):
+    def __init__(self, base: Objective, sigma: float):
         if sigma <= 0.0:
             raise ValueError("sigma must be positive")
         if base.norm.primal != "l2":
             raise UnsupportedError("smoothing is implemented for the l2 norm only")
         self.base = base
         self.sigma = float(sigma)
-        self.pg_iters = pg_iters
         self.lipschitz = base.lipschitz
         self.norm = base.norm
         if not math.isfinite(base.lipschitz) and not isinstance(base, NegativeDistance):
@@ -427,13 +426,11 @@ class SmoothedObjective:
         if isinstance(self.base, NegativeDistance):
             val, grad = smoothed_distance(z, self.base.target, self.sigma)
             return -val, -grad
+        # every other objective kind is separable
         L = self.lipschitz
-        if self.base.is_separable:
-            s = self.sigma / (2.0 * L)
-            fvec = lambda t: self.base.conjugate_components(t) + s * t * t - t * z
-            theta, val = minimize_separable_ball(fvec, self.dim, L)
-            return val, -theta
-        val, theta = _pg_min_conjugate(self.base, z, L, self.sigma / L, self.pg_iters)
+        s = self.sigma / (2.0 * L)
+        fvec = lambda t: self.base.conjugate_components(t) + s * t * t - t * z
+        theta, val = minimize_separable_ball(fvec, self.dim, L)
         return val, -theta
 
     def value(self, z):

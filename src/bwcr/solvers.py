@@ -8,14 +8,34 @@ Three pieces live here:
   (:func:`_certify_pair`), as does the linear step below with one halfspace.
 * :func:`solve_ucb_step` - the optimistic step: maximize
   psi(p) = max over confidence region of f(V~ p)  subject to the region
-  touching the target set.  Over an interval region the achievable set for
-  fixed p is the box [L p, U p], so the step is a concave program in
-  (p, z) over a polytope: one LP for a linear f, Kelley's cutting planes on
-  that LP otherwise, both with a certified gap.  Ellipsoid regions
-  (contextual instances) are not convex in (p, z) and use a penalized
-  saddle search: projected subgradient on p against psi(p) - lam * g(p)^+,
-  with psi and g evaluated by inner projected gradient over the dual vector.
+  touching the target set.  Every region is an interval region (a
+  :class:`~bwcr.confidence.Hypercube`), whose achievable set for fixed p is
+  the box [L p, U p], so the step is a concave program in (p, z) over a
+  polytope: one LP for a linear f, Kelley's cutting planes on that LP
+  otherwise, both with a certified gap.
 * OGD and entropic-mirror OCO steps used by the dual algorithms.
+
+Contextual instances (arXiv 1402.5758, linear-contextual extension) differ
+only in the confidence region: per component j the means are
+x_{j,i} . w_j with w_j in an ellipsoid around the least-squares center c_j,
+so for fixed p the exact achievable interval is  u . c_j -+ r ||u||_{G_j^-1}
+with u = sum_i p_i x_{j,i}.  The step relaxes it to the per-entry intervals
+x_{j,i} . c_j -+ r ||x_{j,i}||_{G_j^-1}
+(:meth:`~bwcr.confidence.EllipsoidState.hypercube`), each clipped to [0, 1],
+the range of every mean.  By the triangle inequality
+||u|| <= sum_i p_i ||x_{j,i}||, so the box [L p, U p] contains V~ p for every
+V~ whose rows the ellipsoids allow and whose entries lie in [0, 1], as the
+true means do: the region still holds V whenever the ellipsoids hold the
+true weights, and optimism is kept.  The price is the width played: the
+optimistic value exceeds the true one by at most 2 r E_{a~p} ||x_a||_{G^-1}
+per component, the expected width of the arm drawn, where the exact region
+pays 2 r ||E_{a~p} x_a||_{G^-1}.  Summed over the rounds, the played arms'
+widths ||x_{a_t}||_{G_t^-1} are bounded by the elliptical-potential lemma
+(Abbasi-Yadkori, Pal & Szepesvari 2011): sum_t min(1, ||x_{a_t}||^2) <=
+2 n log(1 + T / n), hence sum_t ||x_{a_t}|| = O(sqrt(n T log T)) by
+Cauchy-Schwarz, and the expectation over a_t ~ p_t adds a martingale term
+of order sqrt(T).  So the relaxation keeps the sqrt(T) order of the paper's
+contextual bound, with other constants.
 """
 from __future__ import annotations
 
@@ -25,13 +45,12 @@ from typing import Optional
 
 import numpy as np
 
-from .confidence import EllipsoidState, Hypercube
+from .confidence import Hypercube
 from .core import PolicyDistribution
 from .errors import ConfigError, SolverLimitError, UnsupportedError
-from .geometry import (Box, ConvexSet, Halfspaces, VPolytope, project_l2_ball,
-                       project_simplex)
+from .geometry import Box, ConvexSet, Halfspaces, VPolytope, project_l2_ball
 from .lp import _FEAS_TOL, _TOL, solve_dense_lp
-from .objective import LinearObjective, Objective, minimize_separable_ball
+from .objective import LinearObjective, Objective
 
 
 @dataclass(frozen=True)
@@ -167,65 +186,9 @@ def solve_lp(problem: LpProblem, warm_basis: Optional[list] = None,
 
 
 # ---------------------------------------------------------------------------
-# confidence regions
-
-
-class HypercubeRegion:
-    """Achievable-set oracle backed by per-entry interval bounds."""
-
-    def __init__(self, hc: Hypercube):
-        self.hc = hc
-        self.d, self.m = hc.lcb.shape
-
-    def intervals(self, p: np.ndarray):
-        return self.hc.lcb @ p, self.hc.ucb @ p
-
-
-def degenerate_region(mean_matrix: np.ndarray) -> HypercubeRegion:
-    """Zero-width region pinned to the true means (benchmark side)."""
-    v = np.asarray(mean_matrix, dtype=float)
-    return HypercubeRegion(Hypercube(lcb=v, ucb=v))
-
-
-class EllipsoidRegion:
-    """Achievable-set oracle for contextual instances: per component j the
-    row of V~ is x_{j,i} . w~_j with w~_j ranging over a confidence ellipsoid.
-    """
-
-    def __init__(self, es: EllipsoidState, contexts: np.ndarray):
-        self.es = es
-        self.contexts = contexts  # (d, m, n)
-        self.d, self.m = contexts.shape[:2]
-
-    def _moments(self, p: np.ndarray):
-        c = np.einsum("jin,i->jn", self.contexts, p)       # (d, n)
-        mid = np.einsum("jn,jn->j", c, self.es.center)
-        quad = np.einsum("ja,jab,jb->j", c, self.es.gram_inv, c)
-        half = np.sqrt(self.es.radius_sq * np.maximum(quad, 0.0))
-        return c, mid, half, quad
-
-    def min_linear(self, theta: np.ndarray, p: np.ndarray):
-        """min over region matrices of theta . (V~ p); returns
-        (value, achieved product x = V~ p, per-arm values theta^T V~)."""
-        c, mid, half, quad = self._moments(p)
-        value = float(theta @ mid - np.abs(theta) @ half)
-        x = mid - np.sign(theta) * half
-        # worst-case weights per component, for the per-arm inner products
-        scale = np.where(quad > 0.0, np.sqrt(self.es.radius_sq / np.maximum(quad, 1e-300)), 0.0)
-        w_star = self.es.center - (np.sign(theta) * scale)[:, None] * np.einsum(
-            "jab,jb->ja", self.es.gram_inv, c)
-        cols = np.einsum("j,jin,jn->i", theta, self.contexts, w_star)
-        return value, x, cols
-
-    def intervals(self, p: np.ndarray):
-        _, mid, half, _ = self._moments(p)
-        return mid - half, mid + half
-
-
-# ---------------------------------------------------------------------------
 # the optimistic step
 
-GAP_TOL = 1e-10     # certified optimality gap of an interval-region step
+GAP_TOL = 1e-10     # certified optimality gap of a step
 MAX_ROUNDS = 200    # LP solves per cutting-plane step
 _CUT_FLOOR = 1e-12  # least cut coordinate: sqrt slopes are infinite at 0
 
@@ -236,12 +199,9 @@ class StepResult:
     policy: Optional[PolicyDistribution]
     objective: float
     x: Optional[np.ndarray]                 # region point achieving the objective
-    gap: float = math.nan                   # LP bound - objective; nan for the saddle search
-    rounds: int = 0                         # LP solves of an interval-region step
+    gap: float = math.nan                   # certified LP bound - objective; nan if infeasible
+    rounds: int = 0                         # LP solves of the step
     basis: Optional[list] = None            # warm basis (linear objective)
-    theta_obj: Optional[np.ndarray] = None  # saddle warm-start carriers
-    theta_feas: Optional[np.ndarray] = None
-    p_last: Optional[np.ndarray] = None
 
 
 def _step_skeleton(d: int, m: int, f: Objective, s: Optional[ConvexSet]) -> dict:
@@ -388,13 +348,18 @@ def _simplex_point(x: np.ndarray) -> np.ndarray:
     return p / p.sum()
 
 
-def _interval_step(region: HypercubeRegion, f: Objective, s, warm, workspace) -> StepResult:
-    """Exact optimistic step over an interval region.
+def solve_ucb_step(hc: Hypercube, f: Objective, s: Optional[ConvexSet] = None, *,
+                   warm: Optional[StepResult] = None,
+                   workspace: Optional[dict] = None) -> StepResult:
+    """Optimistic step: maximize psi(p) = max over the interval region ``hc``
+    of f(V~ p) subject to the region touching S; ``feasible=False`` when no p
+    does, and the caller decides what to play then.
 
     For fixed p the achievable set is the box [L p, U p], so the step is the
-    concave program max f(z_r) over the polytope of :func:`_step_skeleton`.
-    A linear f makes it one LP, warm-started from the previous step's basis;
-    ``workspace`` keeps that LP's standard form and basis inverse (see
+    concave program max f(z_r) over the polytope of :func:`_step_skeleton`,
+    which ``workspace`` caches between calls with the same f and S.  A
+    linear f makes it one LP, warm-started from ``warm``'s basis; the
+    workspace keeps that LP's standard form and basis inverse (see
     :mod:`bwcr.lp`), and counts the LP solves of every round.  With one
     unclipped halfspace the warm basis is first certified in scalar floats
     (:func:`_certify_step`); only a basis that fails goes to the dense LP.
@@ -404,7 +369,7 @@ def _interval_step(region: HypercubeRegion, f: Objective, s, warm, workspace) ->
     capped at MAX_ROUNDS; a step that stops above GAP_TOL says so in ``gap``.
     An infeasible verdict is always phase-1 certified: cuts only bound t.
     """
-    d, m = region.d, region.m
+    d, m = hc.lcb.shape
     ws = workspace if workspace is not None else {}
     if "a_ub" not in ws:
         ws.update(_step_skeleton(d, m, f, s))
@@ -412,12 +377,12 @@ def _interval_step(region: HypercubeRegion, f: Objective, s, warm, workspace) ->
         basis = warm.basis if warm is not None else None
         certified = None
         if basis is not None and "one_row_cap" in ws:
-            certified = _certify_step(ws, region.hc, f.c, basis)
+            certified = _certify_step(ws, hc, f.c, basis)
         if certified is not None:
             _count_scalar(ws)
             policy = PolicyDistribution.unchecked(certified[0])
         else:
-            res = solve_dense_lp(ws["cost"], a_ub=_fill_intervals(ws, region.hc),
+            res = solve_dense_lp(ws["cost"], a_ub=_fill_intervals(ws, hc),
                                  b_ub=ws["b_ub"], a_eq=ws["a_eq"], b_eq=ws["b_eq"],
                                  basis=basis, workspace=ws)
             if res.status != "optimal":
@@ -425,15 +390,15 @@ def _interval_step(region: HypercubeRegion, f: Objective, s, warm, workspace) ->
                                   rounds=1)
             policy, basis = PolicyDistribution(_simplex_point(res.x[:m])), res.basis
         # report the unconstrained-witness objective psi(p) = max over the box
-        lo, hi = region.intervals(policy.weights)
-        z_r = np.where(f.c >= 0.0, hi, lo)
+        p = policy.weights
+        z_r = np.where(f.c >= 0.0, hc.ucb @ p, hc.lcb @ p)
         return StepResult(feasible=True, policy=policy, objective=float(f.c @ z_r),
                           x=z_r, gap=0.0, rounds=1, basis=basis)
-    a_ub = _fill_intervals(ws, region.hc)
+    a_ub = _fill_intervals(ws, hc)
 
     # a coordinate whose upper bounds are all 0 is 0 on the whole feasible
     # set: cut there at 0 with slope 0, whatever f's slope at 0 (sqrt: inf)
-    pinned = ~np.any(region.hc.ucb > 0.0, axis=1)
+    pinned = ~np.any(hc.ucb > 0.0, axis=1)
     cut_rows, cut_rhs = [], []
 
     def add_cut(y):
@@ -469,8 +434,7 @@ def _interval_step(region: HypercubeRegion, f: Objective, s, warm, workspace) ->
             continue
         last = res.value
         p = _simplex_point(res.x[:m])
-        lo, hi = region.intervals(p)
-        z = np.clip(res.x[m:m + d], lo, hi)
+        z = np.clip(res.x[m:m + d], hc.lcb @ p, hc.ucb @ p)
         val = f.value(z)
         if val > lower:
             best, lower = (p, z), val
@@ -490,206 +454,10 @@ def _interval_step(region: HypercubeRegion, f: Objective, s, warm, workspace) ->
                       x=best[1], gap=gap, rounds=rounds)
 
 
-def _eval_psi(region, f: Objective, p, radius, theta0, iters, patience: int = 6):
-    """Inner projected gradient for psi(p) = min_theta f*(theta) - min_region
-    theta . (V~ p); returns (value, theta, x, per-arm column values)."""
-    theta = np.zeros(region.d) if theta0 is None else theta0.copy()
-    best = (math.inf, theta.copy(), None, None)
-    scale = radius if math.isfinite(radius) and radius > 0 else 1.0
-    stall = 0
-    for k in range(iters):
-        val_min, x, cols = region.min_linear(theta, p)
-        val = f.conjugate(theta) - val_min
-        if val < best[0] - 1e-12:
-            best = (val, theta.copy(), x, cols)
-            stall = 0
-        else:
-            stall += 1
-            if stall >= patience:
-                break
-        grad = f.conjugate_argmax(theta) - x
-        theta = theta - (scale / (k + 1.0)) * grad
-        if math.isfinite(radius):
-            theta = project_l2_ball(theta, radius)
-    if best[2] is None:
-        _, best_x, best_cols = region.min_linear(best[1], p)
-        best = (best[0], best[1], best_x, best_cols)
-    return best
-
-
-def _eval_psi_exact(region, f: Objective, p, radius):
-    """Exact inner minimization when f is separable and the region yields
-    per-component achievable intervals (1-d convex pieces under an l2 ball)."""
-    lo, hi = region.intervals(p)
-    fvec = lambda t: f.conjugate_components(t) - np.minimum(t * lo, t * hi)
-    theta, val = minimize_separable_ball(fvec, region.d, radius)
-    _, x, cols = region.min_linear(theta, p)
-    return val, theta, x, cols
-
-
-def _eval_g(region, s: ConvexSet, p, theta0, iters, workspace, patience: int = 6):
-    """Inner projected gradient ascent for g(p) = max_{|theta|<=1}
-    min_region theta.(V~ p) - h_S(theta); returns (value, theta, cols).
-    ``workspace`` carries the support LP's warm basis between calls."""
-    theta = np.zeros(region.d) if theta0 is None else theta0.copy()
-    best = (-math.inf, theta.copy(), None)
-    stall = 0
-    for k in range(iters):
-        val_min, x, cols = region.min_linear(theta, p)
-        val = val_min - s.support(theta, workspace)
-        if val > best[0] + 1e-12:
-            best = (val, theta.copy(), cols)
-            stall = 0
-        else:
-            stall += 1
-            if stall >= patience:
-                break
-        grad = x - s.support_point(theta, workspace)
-        theta = project_l2_ball(theta + (1.0 / (k + 1.0)) * grad, 1.0)
-    if best[2] is None:
-        best = (best[0], best[1], region.min_linear(best[1], p)[2])
-    return best
-
-
-def _feasibility_exact(region, s: ConvexSet, p, tol_feas: float):
-    """Exact feasibility verdict for interval regions.
-
-    The achievable set {V~ p} for fixed p is the box of per-component
-    intervals, so "region touches S" is a box/box or box/polyhedron
-    intersection test; the returned value is an exact distance for box
-    targets and a per-row violation measure otherwise (0 when feasible).
-    This equals the supremum the inner projected-gradient approaches.
-    """
-    lo, hi = region.intervals(p)
-    if isinstance(s, Box):
-        gap = np.maximum(s.lower - hi, 0.0) + np.maximum(lo - s.upper, 0.0)
-        val = float(np.linalg.norm(gap))
-        return val <= tol_feas, val
-    if isinstance(s, Halfspaces):
-        lo_c = np.maximum(lo, 0.0)
-        hi_c = np.minimum(hi, s.upper)
-        if np.any(lo_c > hi_c + 1e-12):
-            return False, math.inf
-        mins = np.where(s.normals >= 0.0, s.normals * lo_c, s.normals * hi_c).sum(axis=1)
-        viol = mins - s.offsets
-        row_norms = np.linalg.norm(s.normals, axis=1)
-        measure = float(np.max(np.maximum(viol, 0.0) / np.maximum(row_norms, 1e-300)))
-        if np.all(viol <= 1e-12):
-            if s.k == 1:
-                return measure <= tol_feas, measure
-            res = solve_dense_lp(
-                np.zeros(region.d),
-                a_ub=np.vstack([s.normals, np.eye(region.d), -np.eye(region.d)]),
-                b_ub=np.concatenate([s.offsets, hi_c, -lo_c]),
-            )
-            return res.status == "optimal", 0.0 if res.status == "optimal" else math.inf
-        return False, measure
-    return None, math.nan  # no exact test for this target kind
-
-
-def _eval_g_strong(region, s: ConvexSet, p, theta0, iters, workspace):
-    """High-budget dual feasibility evaluation with multiple restarts."""
-    starts = [None, theta0]
-    lo, hi = region.intervals(p)
-    mid = 0.5 * (lo + hi)
-    gap = mid - s.project(mid)
-    nrm = np.linalg.norm(gap)
-    if nrm > 0:
-        starts.append(gap / nrm)
-    best_val, best_theta = -math.inf, None
-    for t0 in starts:
-        val, theta, _ = _eval_g(region, s, p, t0, iters, workspace, patience=max(50, iters // 4))
-        if val > best_val:
-            best_val, best_theta = val, theta
-    return best_val, best_theta
-
-
-def _saddle_step(region: EllipsoidRegion, f: Objective, s: Optional[ConvexSet], *,
-                 warm: Optional[StepResult] = None, workspace: Optional[dict] = None,
-                 lipschitz: Optional[float] = None,
-                 lam_max: float = 1024.0, outer_iters: int = 200, inner_iters: int = 15,
-                 final_iters: int = 1500, tol_feas: float = 1e-6,
-                 step_scale: float = 0.5) -> StepResult:
-    """Penalized saddle search: projected subgradient on p against
-    psi(p) - lam * max(g(p), 0), lam doubling from 1 to ``lam_max``; the
-    near-feasible iterates are then verified in objective order."""
-    radius = f.lipschitz if lipschitz is None else float(lipschitz)
-    if not math.isfinite(radius):
-        raise ConfigError("saddle step needs a finite Lipschitz constant "
-                          "(pass lipschitz= explicitly for this objective)")
-
-    m = region.m
-    p = warm.p_last.copy() if warm is not None and warm.p_last is not None else np.full(m, 1.0 / m)
-    theta_psi = warm.theta_obj if warm is not None else None
-    theta_g = warm.theta_feas if warm is not None else None
-    candidates: list = []
-    support_ws = {} if workspace is None else workspace
-
-    lam = 1.0
-    while lam <= lam_max:
-        for k in range(1, outer_iters + 1):
-            psi_val, theta_psi, x_psi, cols_psi = _eval_psi(region, f, p, radius, theta_psi, inner_iters)
-            if s is not None:
-                g_val, theta_g, cols_g = _eval_g(region, s, p, theta_g, inner_iters, support_ws)
-            else:
-                g_val, cols_g = 0.0, np.zeros(m)
-            if g_val <= tol_feas:
-                candidates.append((psi_val, p.copy()))
-            grad = -cols_psi - (lam if g_val > 0.0 else 0.0) * cols_g
-            nrm = np.linalg.norm(grad)
-            if nrm > 1e-12:
-                p = project_simplex(p + (step_scale / (math.sqrt(k) * nrm)) * grad)
-        lam *= 2.0
-
-    # walk the recorded near-feasible iterates in objective order; the first
-    # one that survives exact feasibility verification is the answer (the
-    # cheap inner estimate only lower-bounds g, so high-psi boundary
-    # violators are expected to appear first and be rejected here)
-    candidates.sort(key=lambda c: -c[0])
-    checks = 0
-    for _, cand in candidates:
-        if s is not None:
-            ok, g_val = _feasibility_exact(region, s, cand, tol_feas)
-            if ok is None:
-                if checks >= 50:
-                    break
-                checks += 1
-                g_val, theta_g = _eval_g_strong(region, s, cand, theta_g, final_iters, support_ws)
-                ok = g_val <= tol_feas
-            if not ok:
-                continue
-        if f.is_separable:
-            psi_val, theta_b, x, _ = _eval_psi_exact(region, f, cand, radius)
-        else:
-            psi_val, theta_b, x, _ = _eval_psi(region, f, cand, radius, theta_psi, final_iters)
-        return StepResult(feasible=True, policy=PolicyDistribution(cand), objective=psi_val,
-                          x=x, theta_obj=theta_b, theta_feas=theta_g, p_last=cand)
-    return StepResult(feasible=False, policy=None, objective=math.nan, x=None,
-                      theta_obj=theta_psi, theta_feas=theta_g, p_last=p)
-
-
-
-
-def solve_ucb_step(region, f: Objective, s: Optional[ConvexSet] = None, *,
-                   warm: Optional[StepResult] = None, workspace: Optional[dict] = None,
-                   **saddle_options) -> StepResult:
-    """Optimistic step: maximize psi(p) = max over the region of f(V~ p)
-    subject to the region touching S; ``feasible=False`` when no p does, and
-    the caller decides what to play then.
-
-    Interval regions get the exact step of :func:`_interval_step`, with
-    ``workspace`` caching its LP skeleton, and the step LP's standard form
-    and basis inverse, between calls with the same f and S.  Ellipsoid regions (contextual instances) make the step non-convex in
-    (p, z), so they get the penalized saddle search, the only reader of
-    ``saddle_options`` (``lipschitz``, ``lam_max``, ``outer_iters``, ...);
-    there ``workspace`` carries the warm basis of S's support LP.
-    """
-    if isinstance(region, HypercubeRegion):
-        if saddle_options:
-            raise ConfigError("solver options apply to the saddle search of "
-                              "ellipsoid regions only")
-        return _interval_step(region, f, s, warm, workspace)
-    return _saddle_step(region, f, s, warm=warm, workspace=workspace, **saddle_options)
+def degenerate_region(mean_matrix: np.ndarray) -> Hypercube:
+    """Zero-width region pinned to the true means (benchmark side)."""
+    v = np.asarray(mean_matrix, dtype=float)
+    return Hypercube(lcb=v, ucb=v)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,7 @@ from bwcr.core import InstanceModel, ContextualStructure, substream
 from bwcr.geometry import Box, Halfspaces, smoothed_distance
 from bwcr.harness import run_single
 from bwcr.objective import LinearObjective, NegativeDistance, SeparableObjective
-from bwcr.solvers import (HypercubeRegion, LpProblem, make_oco, ogd_step, solve_lp,
-                          solve_ucb_step)
+from bwcr.solvers import LpProblem, make_oco, ogd_step, solve_lp, solve_ucb_step
 
 
 def _report(num, name, ok, detail, elapsed):
@@ -242,7 +241,7 @@ def test_criterion_04_saddle_solver_vs_grid():
         width = rng.random((d, m)) * 0.25
         lcb = np.clip(v - width, 0, 1)
         ucb = np.clip(v + width, 0, 1)
-        region = HypercubeRegion(Hypercube(lcb=lcb, ucb=ucb))
+        region = Hypercube(lcb=lcb, ucb=ucb)
         f = SeparableObjective([{"kind": "quad", "weight": 1.0 / d,
                                  "center": float(rng.random())} for _ in range(d)])
         p0 = rng.dirichlet(np.ones(m))

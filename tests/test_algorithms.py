@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bwcr.algorithms import AlgorithmConfig, _simplex_one_constraint, make_algorithm
+from bwcr.algorithms import STOP, AlgorithmConfig, _simplex_one_constraint, make_algorithm
 from bwcr.benchmark import compute_opt
 from bwcr.confidence import Hypercube, vertex
 from bwcr.core import (IDLE, InstanceModel, PolicyDistribution, draw_arm, sample_observation,
@@ -12,6 +12,7 @@ from bwcr.errors import ConfigError
 from bwcr.geometry import Box, Halfspaces
 from bwcr.harness import run_single
 from bwcr.objective import LinearObjective, NegativeDistance, SeparableObjective
+from bwcr.solvers import GAP_TOL
 
 
 V5 = np.array([[0.85, 0.45, 0.30, 0.20, 0.10],
@@ -472,8 +473,7 @@ def test_ucb_bwcr_contextual_end_to_end():
     inst = InstanceModel(v, "bernoulli", contextual=ContextualStructure(contexts, weights))
     f = SeparableObjective([{"kind": "quad", "weight": 0.5, "center": 0.3},
                             {"kind": "quad", "weight": 0.5, "center": 0.4}])
-    cfg = AlgorithmConfig(variant="ucb_bwcr", horizon=60, objective=f,
-                          solver=dict(outer_iters=20, inner_iters=8, lam_max=16.0))
+    cfg = AlgorithmConfig(variant="ucb_bwcr", horizon=60, objective=f)
     hist = run_single(inst, cfg, seed=0, horizon=60)
     assert hist.steps == 60
     assert hist.algorithm.ell.gram[0, 0, 0] > 1.0   # ellipsoids actually updated
@@ -512,8 +512,10 @@ def test_ucb_bwcr_eps_shrinks_target():
 
 
 def test_saddle_requires_finite_lipschitz():
-    # the saddle search runs over confidence ellipsoids (contextual instances)
+    # contextual steps run the interval step, which needs no Lipschitz
+    # constant; the saddle search and its solver options are gone
     from bwcr.core import ContextualStructure
+    from bwcr.harness import build_algorithm_config, config_from_json
     contexts = np.array([[[0.6, 0.4], [0.3, 0.7]]])
     weights = np.array([[0.5, 0.6]])
     ctx_inst = InstanceModel(np.einsum("jin,jn->ji", contexts, weights), "bernoulli",
@@ -522,14 +524,13 @@ def test_saddle_requires_finite_lipschitz():
     box = Box(np.zeros(1), np.ones(1))
     cfg = AlgorithmConfig(variant="ucb_bwcr", horizon=10, objective=f, constraint_set=box)
     algo = make_algorithm(cfg, ctx_inst)
-    with pytest.raises(ConfigError):
-        algo.step(1)
-    cfg2 = AlgorithmConfig(variant="ucb_bwcr", horizon=10, objective=f, constraint_set=box,
-                           lipschitz=4.0, solver=dict(outer_iters=10, inner_iters=5, lam_max=4.0))
-    algo2 = make_algorithm(cfg2, ctx_inst)
-    algo2.step(1)
-    # interval regions need no Lipschitz constant, and take no saddle options
+    assert algo.step(1) is not STOP
+    assert algo.infeasible_steps == 0 and algo._warm.gap <= GAP_TOL
     inst = InstanceModel(np.array([[0.2, 0.8]]), "bernoulli")
     make_algorithm(cfg, inst).step(1)
-    with pytest.raises(ConfigError):
-        make_algorithm(cfg2, inst)
+    doc = {"instance": ctx_inst.to_json(), "objective": {"kind": "separable",
+                                                        "terms": [{"kind": "sqrt"}]},
+           "algorithm": {"variant": "ucb_bwcr", "solver": {"outer_iters": 10}},
+           "horizon": 10, "seeds": [1]}
+    with pytest.raises(ConfigError, match="unknown algorithm fields"):
+        build_algorithm_config(config_from_json(doc), f, None)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from bwcr.errors import UnsupportedError
-from bwcr.geometry import (Box, Halfspaces, NormPair, VPolytope, project_l2_ball,
-                           project_simplex, set_from_json, smoothed_distance)
+from bwcr.geometry import (Box, Halfspaces, NormPair, VPolytope, project_l2_ball, set_from_json,
+                           smoothed_distance)
 
 L2 = NormPair("l2")
 LINF = NormPair("linf")
@@ -231,18 +231,6 @@ def test_serialization_roundtrip():
         assert type(back) is type(s)
         theta = np.array([0.3, -0.7])
         assert back.support(theta) == pytest.approx(s.support(theta))
-
-
-def test_project_simplex():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        v = rng.standard_normal(5)
-        p = project_simplex(v)
-        assert p.min() >= 0
-        assert p.sum() == pytest.approx(1.0, abs=1e-12)
-        # projection property against random feasible points
-        q = rng.dirichlet(np.ones(5))
-        assert np.linalg.norm(v - p) <= np.linalg.norm(v - q) + 1e-12
 
 
 def _support_knapsack_numpy(theta, a, b, upper):

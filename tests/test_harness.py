@@ -204,6 +204,17 @@ def test_cli_simulate_and_exit_codes(tmp_path):
     assert _run_cli(["simulate", "--config", str(gen)]).returncode == 3
 
 
+def test_cli_rejects_solver_options(tmp_path):
+    # the saddle search's keyword overrides are gone with it
+    doc = _config_doc(tmp_path, horizon=5)
+    doc["algorithm"] = {"variant": "ucb_bwcr", "solver": {"outer_iters": 10}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = _run_cli(["simulate", "--config", str(path)])
+    assert out.returncode == 2
+    assert "unknown algorithm fields" in out.stderr
+
+
 def test_cli_solver_limit_and_unsupported_exit_codes(tmp_path, monkeypatch, capsys):
     from bwcr import cli, lp
     path = tmp_path / "cfg.json"
@@ -330,7 +341,10 @@ def test_bwk_stop_time_at_most_horizon_plus_one(tmp_path):
 # and the criterion-8 one (25 arms, budget T/4), with the default confidence
 # parameter (vacuous intervals, clamped bounds) and with gamma = 0.1 (interior
 # bounds); plus two one-constraint step LPs that mix two arms (gamma = 0.5
-# and 0.1).  Refactors of the per-step path must keep every byte.  They were
+# and 0.1), and a contextual ucb_bwcr run, whose steps solve the interval
+# step on the per-entry intervals of its confidence ellipsoids (generator
+# instance n = 2, m = 6, d = 2; linear f, box target).  Refactors of the
+# per-step path must keep every byte.  They were
 # recorded with numpy 2.4.6 on x86-64 (OpenBLAS); another numpy or BLAS may
 # round an inner product differently, which the failure message names.
 _TRACE_T = 300
@@ -404,6 +418,11 @@ def _trace_configs():
     }
     for name, doc in list(configs.items()):
         configs[name + "_gamma"] = dict(doc, algorithm=dict(doc["algorithm"], gamma=0.1))
+    configs["ucb_bwcr_contextual"] = {
+        "instance": {"generator": {"kind": "contextual", "n": 2, "m": 6, "d": 2}},
+        "objective": {"kind": "linear", "coefficients": [1.0, 0.5]},
+        "constraint_set": {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 0.5]},
+        "algorithm": {"variant": "ucb_bwcr"}}
     for doc in configs.values():
         doc.update(horizon=_TRACE_T, seeds=list(_TRACE_SEEDS))
     return configs
@@ -494,6 +513,9 @@ _RECORDED_TRACE_SHA256 = {
     "ucb_bwcr_mixed_sign_gamma": (
         "3212abe933e05d9e700764d0f84ef2f5a10281078baf7628a313935c4aaf4c4e",
         "40aa0558232a927b7c5a39378fa4335b7b3181beecdc722046b1388bf8d2b903"),
+    "ucb_bwcr_contextual": (
+        "1c1dcf376bd4efcdb2289be323d764990f1e3a6e2289fbf1c65a9dc55279be3d",
+        "dfc003209b9fb8ff5478e5b55dd70e45d1381bd46aacf0b76f08fca30c76c1a7"),
 }
 
 

@@ -3,18 +3,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bwcr.confidence import Hypercube
+from bwcr.confidence import (EllipsoidState, Hypercube, ellipsoid_max_linear,
+                             ellipsoid_min_linear)
 from bwcr.errors import ConfigError, SolverLimitError
 from bwcr.geometry import Box, Halfspaces, VPolytope
 from bwcr.lp import _bland_iterate, solve_dense_lp
 from bwcr.objective import LinearObjective, NegativeDistance, SeparableObjective
-from bwcr.solvers import (GAP_TOL, EllipsoidRegion, HypercubeRegion, LpProblem,
-                          _fill_intervals, _step_skeleton, degenerate_region, entropic_step,
-                          make_oco, ogd_step, solve_lp, solve_ucb_step)
+from bwcr.solvers import (GAP_TOL, LpProblem, _fill_intervals, _step_skeleton,
+                          degenerate_region, entropic_step, make_oco, ogd_step, solve_lp,
+                          solve_ucb_step)
 
 
 def lp_vertex_oracle(r, c, beta):
@@ -314,7 +315,7 @@ def test_ucb_step_saddle_vs_grid_small():
         v = rng.random((d, m))
         width = rng.random((d, m)) * 0.2
         hc = Hypercube(lcb=np.clip(v - width, 0, 1), ucb=np.clip(v + width, 0, 1))
-        region = HypercubeRegion(hc)
+        region = hc
         f = SeparableObjective([{"kind": "quad", "weight": 0.5, "center": float(rng.random())}
                                 for _ in range(d)])
         p0 = rng.dirichlet(np.ones(m))
@@ -345,8 +346,8 @@ def test_ucb_step_monotone_in_widening():
         p0 = rng.dirichlet(np.ones(m))
         z0 = v @ p0
         s = Box(np.clip(z0 - 0.2, 0, 1), np.clip(z0 + 0.2, 0, 1))
-        narrow_res = solve_ucb_step(HypercubeRegion(hc), f, s)
-        wide_res = solve_ucb_step(HypercubeRegion(wide), f, s)
+        narrow_res = solve_ucb_step(hc, f, s)
+        wide_res = solve_ucb_step(wide, f, s)
         assert narrow_res.feasible and wide_res.feasible
         assert wide_res.objective >= narrow_res.objective - 1e-6
 
@@ -358,7 +359,7 @@ def test_ucb_step_linear_vs_grid():
         d, m = 2, 3
         lcb = rng.random((d, m)) * 0.5
         ucb = np.clip(lcb + rng.random((d, m)) * 0.4, 0, 1)
-        region = HypercubeRegion(Hypercube(lcb=lcb, ucb=ucb))
+        region = Hypercube(lcb=lcb, ucb=ucb)
         f = LinearObjective(rng.uniform(-0.3, 1.0, d))
         p0 = rng.dirichlet(np.ones(m))
         z0 = 0.5 * (lcb + ucb) @ p0
@@ -381,7 +382,7 @@ def _random_region(rng, d, m, width=0.25):
     v = rng.random((d, m))
     w = rng.random((d, m)) * width
     lcb, ucb = np.clip(v - w, 0, 1), np.clip(v + w, 0, 1)
-    return lcb, ucb, HypercubeRegion(Hypercube(lcb=lcb, ucb=ucb))
+    return lcb, ucb, Hypercube(lcb=lcb, ucb=ucb)
 
 
 def _box_touches_triangle(lo, hi, tri):
@@ -540,7 +541,7 @@ def _step_problems(draw):
 @given(_step_problems())
 def test_ucb_step_certified_property(problem):
     lcb, ucb, s, f, seed = problem
-    res = solve_ucb_step(HypercubeRegion(Hypercube(lcb=lcb, ucb=ucb)), f, s)
+    res = solve_ucb_step(Hypercube(lcb=lcb, ucb=ucb), f, s)
     assert res.feasible == (s is None or _feasibility_lp(lcb, ucb, s))
     if not res.feasible:
         return
@@ -644,7 +645,7 @@ def test_scalar_certify_matches_dense_step(case):
     (first_hc, second_hc), first_f, f, s = case
     assume(s is not None)
     d, m = first_hc.lcb.shape
-    first = solve_ucb_step(HypercubeRegion(first_hc), first_f, s)
+    first = solve_ucb_step(first_hc, first_f, s)
     assume(first.feasible)
     skeleton = _step_skeleton(d, m, f, s)
     assert "one_row_cap" in skeleton
@@ -652,7 +653,7 @@ def test_scalar_certify_matches_dense_step(case):
         skeleton["cost"], _fill_intervals(skeleton, second_hc), skeleton["b_ub"],
         skeleton["a_eq"], skeleton["b_eq"], first.basis, m)
     ws = {}
-    got = solve_ucb_step(HypercubeRegion(second_hc), f, s, warm=first, workspace=ws)
+    got = solve_ucb_step(second_hc, f, s, warm=first, workspace=ws)
     # the scalar path takes the bases with two columns among the arms and the
     # halfspace slack (column m + 3d); a certified basis with more has a
     # larger core and is left to the dense solver
@@ -667,8 +668,8 @@ def test_scalar_certify_matches_dense_step(case):
 
 
 def test_ucb_step_ellipsoid_region():
-    # ellipsoid region with tiny uncertainty behaves like the degenerate one
-    from bwcr.confidence import EllipsoidState
+    # the relaxed cube of an ellipsoid with tiny uncertainty steps like the
+    # degenerate region
     rng = np.random.default_rng(6)
     d, m, n = 2, 3, 2
     contexts = rng.random((d, m, n))
@@ -676,10 +677,9 @@ def test_ucb_step_ellipsoid_region():
     w = rng.uniform(0.2, 0.8, (d, n))
     es = EllipsoidState(d, n, radius_sq=1e-8)
     es.center = w.copy()
-    region = EllipsoidRegion(es, contexts)
     v = np.einsum("jin,jn->ji", contexts, w)
     f = LinearObjective(np.ones(d))
-    res = solve_ucb_step(region, f, None)
+    res = solve_ucb_step(es.hypercube(contexts), f, None)
     direct = solve_ucb_step(degenerate_region(v), f, None)
     assert abs(res.objective - direct.objective) <= 1e-3
 
@@ -758,30 +758,77 @@ def test_lp_problem_checked_and_unchecked_constructors():
     assert np.array_equal(a.policy.weights, b.policy.weights) and a.basis == b.basis
 
 
-def test_ellipsoid_region_min_linear_brute_force():
-    from bwcr.confidence import EllipsoidState
-    rng = np.random.default_rng(21)
-    d, m, n = 2, 3, 2
+def _ellipsoid_state(seed, n, m, d, plays, radius_sq):
+    """Contexts drawn as the ``contextual`` generator draws them, and the
+    confidence ellipsoids after ``plays`` uniformly random plays with
+    Bernoulli observations."""
+    rng = np.random.default_rng(seed)
     contexts = rng.random((d, m, n))
-    es = EllipsoidState(d, n)
-    for _ in range(30):
-        es.update(rng.random((d, n)), rng.random(d))
-    region = EllipsoidRegion(es, contexts)
-    for _ in range(10):
-        theta = rng.standard_normal(d)
-        p = rng.dirichlet(np.ones(m))
-        val, x, cols = region.min_linear(theta, p)
-        assert val == pytest.approx(float(theta @ x), abs=1e-9)
-        assert val == pytest.approx(float(cols @ p), abs=1e-9)
-        # sampled matrices from the per-component ellipsoids never beat it
-        best = math.inf
-        for _ in range(4000):
-            u = rng.standard_normal((d, n))
-            u /= np.maximum(np.linalg.norm(u, axis=1, keepdims=True), 1e-12)
-            r_frac = rng.random((d, 1)) ** (1.0 / n)
-            w = np.stack([es.center[j] + math.sqrt(es.radius_sq) * r_frac[j]
-                          * np.linalg.cholesky(es.gram_inv[j]) @ u[j] for j in range(d)])
-            vmat = np.einsum("jin,jn->ji", contexts, w)
-            best = min(best, float(theta @ (vmat @ p)))
-        assert val <= best + 1e-9
-        assert best <= val + 0.05   # the sampled minimum approaches the bound
+    contexts /= contexts.sum(axis=2, keepdims=True)
+    v = np.einsum("jin,jn->ji", contexts, rng.uniform(0.1, 0.6, (d, n)))
+    es = EllipsoidState(d, n, radius_sq)
+    for _ in range(plays):
+        arm = int(rng.integers(m))
+        es.update(contexts[:, arm, :], (rng.random(d) < v[:, arm]).astype(float))
+    return es, contexts
+
+
+@st.composite
+def _contextual_steps(draw):
+    d = draw(st.integers(1, 2))
+    state = (draw(st.integers(0, 2 ** 32 - 1)), draw(st.integers(1, 3)), 3, d,
+             draw(st.integers(0, 200)), draw(st.sampled_from([None, 0.5, 0.05, 0.005])))
+    coefficients = tuple(draw(st.integers(0, 8).map(lambda k: k / 8)) for _ in range(d))
+    ends = [sorted(draw(st.integers(0, 20).map(lambda k: k / 20)) for _ in range(2))
+            for _ in range(d)]
+    return state, coefficients, tuple(e[0] for e in ends), tuple(e[1] for e in ends)
+
+
+# the reproduction where the saddle search of earlier versions reported
+# "infeasible" although 387 of the 5 151 grid points below are feasible
+@example(((5, 2, 3, 2, 200, None), (1.0, 0.5), (0.0, 0.0), (1.0, 0.45)))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_contextual_steps())
+def test_ellipsoid_intervals_contain_ellipsoid(case):
+    (seed, n, m, d, plays, radius_sq), coefficients, lower, upper = case
+    es, contexts = _ellipsoid_state(seed, n, m, d, plays, radius_sq)
+    hc = es.hypercube(contexts)
+    lo = np.array([[ellipsoid_min_linear(es, j, contexts[j, i]) for i in range(m)]
+                   for j in range(d)])
+    hi = np.array([[ellipsoid_max_linear(es, j, contexts[j, i]) for i in range(m)]
+                   for j in range(d)])
+    # each entry is the exact ellipsoid range of x_{j,i} . w, clipped to [0, 1]
+    assert np.allclose(hc.lcb, np.clip(lo, 0.0, 1.0), rtol=0.0, atol=1e-12)
+    assert np.allclose(hc.ucb, np.clip(hi, 0.0, 1.0), rtol=0.0, atol=1e-12)
+    # weights sampled inside each ellipsoid give means inside the intervals
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        u = rng.standard_normal((d, n))
+        u /= np.maximum(np.linalg.norm(u, axis=1, keepdims=True), 1e-12)
+        scale = math.sqrt(es.radius_sq) * rng.random((d, 1)) ** (1.0 / n)
+        w = np.stack([es.center[j] + scale[j] * np.linalg.cholesky(es.gram_inv[j]) @ u[j]
+                      for j in range(d)])
+        means = np.einsum("jin,jn->ji", contexts, w)
+        assert np.all((lo - 1e-9 <= means) & (means <= hi + 1e-9))
+        clipped = np.clip(means, 0.0, 1.0)
+        assert np.all((hc.lcb - 1e-9 <= clipped) & (clipped <= hc.ucb + 1e-9))
+    # the step on the unclipped intervals (the cube ucb_bwcr steps on when no
+    # entry clips) is no worse than the exact ellipsoid intervals
+    # u . c_j -+ r ||u||, u = sum_i p_i x_{j,i}, anywhere on a simplex grid
+    f, s = LinearObjective(np.array(coefficients)), Box(np.array(lower), np.array(upper))
+    res = solve_ucb_step(Hypercube.unchecked(lo, hi), f, s)
+    grid = _simplex_grid_m3()
+    u = np.einsum("gi,jin->jgn", grid, contexts)
+    mid = np.einsum("jgn,jn->gj", u, es.center)
+    half = np.sqrt(es.radius_sq * np.maximum(
+        np.einsum("jgn,jnk,jgk->gj", u, es.gram_inv, u), 0.0))
+    feas = np.all((mid + half >= s.lower + 1e-9) & (mid - half <= s.upper - 1e-9), axis=1)
+    if feas.any():
+        assert res.feasible and res.gap <= GAP_TOL
+        assert res.objective >= ((mid + half) @ f.c)[feas].max() - 1e-9
+    if np.all((lo >= 0.0) & (hi <= 1.0)):
+        got = solve_ucb_step(hc, f, s)
+        assert got.feasible == res.feasible
+        if got.feasible:
+            assert got.gap <= GAP_TOL
+            assert got.objective == pytest.approx(res.objective, abs=1e-9)
