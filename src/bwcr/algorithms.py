@@ -3,6 +3,13 @@ policy to play (or STOP for budgeted variants), ``observe(arm, v)`` ingests
 the outcome.  Arm sampling itself lives with the caller so that steppers stay
 deterministic given their observation sequence.
 
+Every variant is one scaffold plus a per-step rule.  ``_StepperBase`` decides
+the confidence region once (the known-means cube, contextual ellipsoid
+intervals, or per-entry UCB/LCB bounds) and updates only its estimator in
+``observe``; it keeps the running average of the plays' images, the run's one
+LP workspace behind ``lp_counts``, and the corner play shared by the
+first-order rules.  ``_BudgetedStepper`` adds the BwK budget and its stop.
+
 Variants:
 
 * ``ucb_bwcr``  - optimistic step over the confidence region: the exact LP /
@@ -117,23 +124,44 @@ def _finite_lipschitz(config: AlgorithmConfig, f: Objective) -> float:
     return float(radius)
 
 
+def _make_oco(kind: str, d: int, radius: float):
+    """An OCO state.  Its gradients are differences of points of [0, 1]^d, so
+    their norm is at most sqrt(d) in l2 (OGD) and 1 in linf (entropic)."""
+    return make_oco(kind, d, radius, math.sqrt(d) if kind == "ogd" else 1.0)
+
+
+def _oco_update(state, grad: np.ndarray):
+    return (ogd_step if state.kind == "ogd" else entropic_step)(state, grad)
+
+
 class _StepperBase:
-    """Confidence bookkeeping and running-average tracking shared by variants."""
+    """The scaffold every variant shares (see the module docstring); ``conf``
+    is None unless the region is the one wrapper of its bounds."""
 
     def __init__(self, config: AlgorithmConfig, instance: InstanceModel):
         config.validate()
         self.config = config
         self.d, self.m = instance.d, instance.m
         self.gamma = _resolved_gamma(config, self.d, self.m)
-        self.conf = ConfidenceState(self.d, self.m, self.gamma)
-        # known means pin the region to a zero-width cube, validated once; the
-        # confidence state is then never read, so observe skips its update
-        known = instance.mean_matrix.copy()
-        self._known = Hypercube(lcb=known, ucb=known) if config.use_known_means else None
-        # otherwise the region wraps the confidence bounds themselves, which
-        # ConfidenceState.update rewrites in place
-        self._cube = self._known if self._known is not None \
-            else Hypercube.unchecked(*self.conf.bounds())
+        self.conf: Optional[ConfidenceState] = None
+        self._contexts = None
+        if config.use_known_means:
+            # a zero-width cube, validated once and never updated
+            known = instance.mean_matrix.copy()
+            self._cube = Hypercube(lcb=known, ucb=known)
+        elif instance.contextual is not None:
+            if config.variant != "ucb_bwcr":
+                raise ConfigError("contextual instances are supported by the ucb_bwcr "
+                                  "variant only")
+            self.ell = EllipsoidState(self.d, instance.contextual.n)
+            self._contexts = instance.contextual.contexts
+        else:
+            # wraps the bounds themselves, which ConfidenceState.update
+            # rewrites in place
+            self.conf = ConfidenceState(self.d, self.m, self.gamma)
+            self._cube = Hypercube.unchecked(*self.conf.bounds())
+        # warm state of the step or support LPs; None for variants with none
+        self._workspace: Optional[dict] = None
         self.xbar: Optional[np.ndarray] = None
         self.steps_seen = 0
         self._pending_x: Optional[np.ndarray] = None
@@ -143,8 +171,9 @@ class _StepperBase:
         self._uniform = uniform_policy(self.m)
 
     def _hypercube(self) -> Hypercube:
-        """The current region: the known-means cube, or the one wrapper of the
-        confidence bounds, which observe rewrites in place."""
+        """The region; only the contextual one is rebuilt from its estimator."""
+        if self._contexts is not None:
+            return self.ell.hypercube(self._contexts)
         return self._cube
 
     def _base_point(self) -> np.ndarray:
@@ -162,12 +191,23 @@ class _StepperBase:
         else:
             self.xbar += (x - self.xbar) / self.steps_seen
 
+    def _play_corner(self, theta: np.ndarray) -> PolicyDistribution:
+        """Play the arm whose column of the region's theta-minimizing corner
+        has the least theta . column, and record that column as the image."""
+        corner = vertex(self._hypercube(), theta)
+        arm = int(theta.dot(corner).argmin())
+        self._pending_x = corner[:, arm].copy()
+        return self._points[arm]
+
     def step(self, t: int):
         raise NotImplementedError
 
     def observe(self, arm: int, observation: np.ndarray):
-        if arm != IDLE and self._known is None:
-            self.conf.update(arm, observation)
+        if arm != IDLE:
+            if self.conf is not None:
+                self.conf.update(arm, observation)
+            elif self._contexts is not None:
+                self.ell.update(self._contexts[:, arm, :], observation)
         if self._pending_x is not None:
             self._push_xbar(self._pending_x)
             self._pending_x = None
@@ -178,8 +218,32 @@ class _StepperBase:
 
     def lp_counts(self) -> Optional[dict]:
         """LP solves, certified warm solves and pivots of this run, from the
-        LP workspaces the stepper owns; None for variants that solve no LP."""
-        return None
+        stepper's LP workspace; None for variants that solve no LP."""
+        return None if self._workspace is None else workspace_counts(self._workspace)
+
+
+class _BudgetedStepper(_StepperBase):
+    """The BwK bookkeeping: observations are a reward row plus resource rows,
+    and the run stops once any resource's spend exceeds the budget B."""
+
+    def __init__(self, config, instance):
+        super().__init__(config, instance)
+        if self.d < 2:
+            raise ConfigError(f"{config.variant} needs observations with a reward row "
+                              "plus resources")
+        self.budget = float(config.budget)
+        self.n_res = self.d - 1
+        self.budget_spent = np.zeros(self.n_res)
+        self.stopped = False
+
+    def _exhausted(self) -> bool:
+        if not self.stopped and np.any(self.budget_spent > self.budget):
+            self.stopped = True
+        return self.stopped
+
+    def _after_observe(self, arm, observation):
+        if arm != IDLE:
+            self.budget_spent += observation[1:]
 
 
 class UcbBwcrStepper(_StepperBase):
@@ -194,25 +258,9 @@ class UcbBwcrStepper(_StepperBase):
         self.s = config.constraint_set
         if config.eps and self.s is not None:
             self.s = self.s.shrink(config.eps)
-        # contextual instances with unknown means play over the intervals of
-        # their confidence ellipsoids
-        self._contexts = None
-        if instance.contextual is not None and self._known is None:
-            self.ell = EllipsoidState(self.d, instance.contextual.n)
-            self._contexts = instance.contextual.contexts
         self._warm = None
-        self._workspace: dict = {}
+        self._workspace = {}
         self.infeasible_steps = 0
-
-    def lp_counts(self):
-        return workspace_counts(self._workspace)
-
-    def _hypercube(self) -> Hypercube:
-        """The base class's region, or on a contextual instance the per-entry
-        intervals of the confidence ellipsoids."""
-        if self._contexts is not None:
-            return self.ell.hypercube(self._contexts)
-        return self._cube
 
     def step(self, t: int):
         hc = self._hypercube()
@@ -226,21 +274,13 @@ class UcbBwcrStepper(_StepperBase):
         self._pending_x = res.x
         return res.policy
 
-    def _after_observe(self, arm, observation):
-        if self._contexts is not None and arm != IDLE:
-            self.ell.update(self._contexts[:, arm, :], observation)
 
-
-class UcbBwkStepper(_StepperBase):
+class UcbBwkStepper(_BudgetedStepper):
     """Budgeted LP step: rewards from row 0 UCBs, consumptions from LCBs of
     rows 1..d-1, budget shrunk by eps; exits once any resource exceeds B."""
 
     def __init__(self, config, instance):
         super().__init__(config, instance)
-        if self.d < 2:
-            raise ConfigError("ucb_bwk needs observations with a reward row plus resources")
-        self.budget = float(config.budget)
-        self.n_res = self.d - 1
         if config.eps is None:
             self.eps = min(0.5, math.sqrt(self.m * self.gamma / self.budget))
         else:
@@ -248,23 +288,17 @@ class UcbBwkStepper(_StepperBase):
         # eps = 1 is the zero-budget limit case (only cost-free arms playable)
         if not 0.0 <= self.eps <= 1.0:
             raise ConfigError("eps must lie in [0, 1]")
-        self.budget_spent = np.zeros(self.n_res)
-        self.stopped = False
         self._basis = None
-        self._lp_workspace: dict = {}
-
-    def lp_counts(self):
-        return workspace_counts(self._lp_workspace)
+        self._workspace = {}
 
     def step(self, t: int):
-        if self.stopped or np.any(self.budget_spent > self.budget):
-            self.stopped = True
+        if self._exhausted():
             return STOP
         hc = self._hypercube()
         # the bounds are ConfidenceState's, in [0, 1]; eps was checked once
         problem = LpProblem.unchecked(hc.ucb[0], hc.lcb[1:], self.budget / self.config.horizon,
                                       self.eps)
-        res = solve_lp(problem, warm_basis=self._basis, workspace=self._lp_workspace)
+        res = solve_lp(problem, warm_basis=self._basis, workspace=self._workspace)
         if res.status != "optimal":
             # unreachable under the feasibility assumption; play safe
             if self.config.allow_idle:
@@ -279,10 +313,6 @@ class UcbBwkStepper(_StepperBase):
         self._pending_x = np.concatenate([[hc.ucb[0] @ p], hc.lcb[1:] @ p])
         return res.policy
 
-    def _after_observe(self, arm, observation):
-        if arm != IDLE:
-            self.budget_spent += observation[1:]
-
 
 class DualOcoStepper(_StepperBase):
     """Linearized dual play: pick the arm minimizing theta . (corner column),
@@ -295,29 +325,18 @@ class DualOcoStepper(_StepperBase):
         else:
             self.f = NegativeDistance(config.constraint_set)
         self.radius = _finite_lipschitz(config, self.f)
-        grad_bound = math.sqrt(self.d) if config.oco_kind == "ogd" else 1.0
-        self.oco = make_oco(config.oco_kind, self.d, self.radius, grad_bound)
+        self.oco = _make_oco(config.oco_kind, self.d, self.radius)
         self._x_t = None
-        self._workspace: dict = {}   # warm state of f*'s support LP, this run's own
-
-    def lp_counts(self):
-        return workspace_counts(self._workspace)
+        self._workspace = {}   # warm state of f*'s support LP
 
     def step(self, t: int):
-        hc = self._hypercube()
-        corner = vertex(hc, self.oco.theta)
-        vals = self.oco.theta.dot(corner)
-        arm = int(vals.argmin())
-        self._pending_x = corner[:, arm].copy()
+        pol = self._play_corner(self.oco.theta)
         self._x_t = self._pending_x
-        return self._points[arm]
+        return pol
 
     def _after_observe(self, arm, observation):
         grad = self.f.conjugate_argmax(self.oco.theta, self._workspace) - self._x_t
-        if self.oco.kind == "ogd":
-            self.oco = ogd_step(self.oco, grad)
-        else:
-            self.oco = entropic_step(self.oco, grad)
+        self.oco = _oco_update(self.oco, grad)
 
 
 class FwPrimalStepper(_StepperBase):
@@ -333,13 +352,9 @@ class FwPrimalStepper(_StepperBase):
             self._grad = self.f.supergradient
 
     def step(self, t: int):
-        grad = self._grad(self._base_point())
-        hc = self._hypercube()
-        corner = vertex(hc, -grad)
-        vals = grad.dot(corner)
-        arm = int(vals.argmax())
-        self._pending_x = corner[:, arm].copy()
-        return self._points[arm]
+        # IEEE negation is exact and rounding is sign-symmetric, so the
+        # corner play at -grad maximizes grad . column bit for bit
+        return self._play_corner(-self._grad(self._base_point()))
 
 
 class FwBwcStepper(_StepperBase):
@@ -352,18 +367,13 @@ class FwBwcStepper(_StepperBase):
 
     def step(self, t: int):
         base = self._base_point()
-        hc = self._hypercube()
         if self.s.contains(base):
+            hc = self._hypercube()
             p = self._uniform
             mid = 0.5 * (hc.lcb + hc.ucb)
             self._pending_x = mid @ p.weights
             return p
-        direction = base - self.s.project(base)
-        corner = vertex(hc, direction)
-        vals = direction.dot(corner)
-        arm = int(vals.argmin())
-        self._pending_x = corner[:, arm].copy()
-        return self._points[arm]
+        return self._play_corner(base - self.s.project(base))
 
 
 def _simplex_one_constraint(cost: np.ndarray, load: np.ndarray, cap: float,
@@ -430,19 +440,13 @@ class CombinedStepper(_StepperBase):
         self.theta = np.zeros(self.d)
         self.phi = np.zeros(self.d)
         if config.theta_update == "dual":
-            radius = _finite_lipschitz(config, self.f)
-            gb = math.sqrt(self.d) if config.oco_kind == "ogd" else 1.0
-            self.oco_theta = make_oco(config.oco_kind, self.d, radius, gb)
+            self.oco_theta = _make_oco(config.oco_kind, self.d, _finite_lipschitz(config, self.f))
         if config.phi_update == "dual":
-            gb = math.sqrt(self.d) if config.oco_kind == "ogd" else 1.0
-            self.oco_phi = make_oco(config.oco_kind, self.d, 1.0, gb)
+            self.oco_phi = _make_oco(config.oco_kind, self.d, 1.0)
         if config.theta_update == "primal_smoothed":
             self._f_smooth = SmoothedObjective(self.f, config.sigma)
         self.zbar_phi: Optional[np.ndarray] = None
-        self._phi_workspace: dict = {}   # warm state of h_S(phi)'s support LP
-
-    def lp_counts(self):
-        return workspace_counts(self._phi_workspace)
+        self._workspace = {}   # warm state of h_S(phi)'s support LP
 
     def step(self, t: int):
         hc = self._hypercube()
@@ -453,9 +457,9 @@ class CombinedStepper(_StepperBase):
         if self.config.phi_update == "dual":
             # phi is the OCO iterate whose support point observe needs: one
             # oracle call answers both
-            cap, self._phi_point = self.s.support_and_point(self.phi, self._phi_workspace)
+            cap, self._phi_point = self.s.support_and_point(self.phi, self._workspace)
         else:
-            cap = self.s.support(self.phi, self._phi_workspace)
+            cap = self.s.support(self.phi, self._workspace)
         p = _simplex_one_constraint(cost, load, cap, self.config.allow_idle)
         if p is None:
             pol = self._uniform
@@ -477,8 +481,7 @@ class CombinedStepper(_StepperBase):
         upd = self.config.theta_update
         if upd == "dual":
             grad = self.f.conjugate_argmax(self.oco_theta.theta) - self._x_theta
-            self.oco_theta = (ogd_step if self.oco_theta.kind == "ogd" else entropic_step)(
-                self.oco_theta, grad)
+            self.oco_theta = _oco_update(self.oco_theta, grad)
             self.theta = self.oco_theta.theta
         elif upd == "primal":
             self.theta = -self.f.supergradient(self.xbar)
@@ -488,8 +491,7 @@ class CombinedStepper(_StepperBase):
         upd = self.config.phi_update
         if upd == "dual":
             grad = self._phi_point - self._z_phi
-            self.oco_phi = (ogd_step if self.oco_phi.kind == "ogd" else entropic_step)(
-                self.oco_phi, grad)
+            self.oco_phi = _oco_update(self.oco_phi, grad)
             self.phi = self.oco_phi.theta
         elif upd == "primal":
             self.phi = self.zbar_phi - self.s.project(self.zbar_phi)
@@ -497,7 +499,7 @@ class CombinedStepper(_StepperBase):
             _, self.phi = smoothed_distance(self.zbar_phi, self.s, self.config.sigma)
 
 
-class GreedyBwkStepper(_StepperBase):
+class GreedyBwkStepper(_BudgetedStepper):
     """Fractional-knapsack rule: play the arm maximizing
     UCB(reward) / (phi . LCB(consumption)) with the largest probability the
     budget row permits; nonpositive denominators are priced at p = 1 and the
@@ -506,20 +508,13 @@ class GreedyBwkStepper(_StepperBase):
 
     def __init__(self, config, instance):
         super().__init__(config, instance)
-        if self.d < 2:
-            raise ConfigError("greedy_bwk needs a reward row plus resources")
-        self.budget = float(config.budget)
-        self.n_res = self.d - 1
         ratio = min(self.budget / config.horizon, 1.0)
         self.s_budget = Box(np.zeros(self.n_res), np.full(self.n_res, ratio))
-        self.oco_phi = make_oco("entropic", self.n_res, 1.0, 1.0)
-        self.budget_spent = np.zeros(self.n_res)
-        self.stopped = False
+        self.oco_phi = _make_oco("entropic", self.n_res, 1.0)
         self._z_t = np.zeros(self.n_res)
 
     def step(self, t: int):
-        if self.stopped or np.any(self.budget_spent > self.budget):
-            self.stopped = True
+        if self._exhausted():
             return STOP
         hc = self._hypercube()
         ucb_r = hc.ucb[0]
@@ -556,8 +551,7 @@ class GreedyBwkStepper(_StepperBase):
         return pol
 
     def _after_observe(self, arm, observation):
-        if arm != IDLE:
-            self.budget_spent += observation[1:]
+        super()._after_observe(arm, observation)
         grad = self.s_budget.support_point(self.oco_phi.theta) - self._z_t
         self.oco_phi = entropic_step(self.oco_phi, grad)
 
@@ -574,7 +568,5 @@ _STEPPERS = {
 
 
 def make_algorithm(config: AlgorithmConfig, instance: InstanceModel) -> _StepperBase:
-    config.validate()
-    if instance.contextual is not None and config.variant != "ucb_bwcr" and not config.use_known_means:
-        raise ConfigError("contextual instances are supported by the ucb_bwcr variant only")
-    return _STEPPERS[config.variant](config, instance)
+    # an unknown variant reaches the base, whose validation rejects it
+    return _STEPPERS.get(config.variant, _StepperBase)(config, instance)

@@ -104,9 +104,6 @@ class ConfidenceState:
         self._lcb[:, arm] = lcb
         self._ucb[:, arm] = ucb
 
-    def empirical_means(self) -> np.ndarray:
-        return self.sums / (self.counts + 1)
-
     def bounds(self):
         """Current (lcb, ucb) arrays; treat as read-only."""
         return self._lcb, self._ucb

@@ -295,11 +295,10 @@ class Halfspaces(ConvexSet):
     def distance_many(self, xs, norm=L2):
         if norm.primal != "l2":
             raise UnsupportedError("Halfspaces distance supports l2 only")
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        if self.k == 1:
-            # single halfspace + box: batched Dykstra over two sets
-            return self._batch_dykstra(xs)
-        return np.array([self.distance(x) for x in xs])
+        if self.k != 1:
+            return super().distance_many(xs, norm)
+        # single halfspace + box: batched Dykstra over two sets
+        return self._batch_dykstra(np.atleast_2d(np.asarray(xs, dtype=float)))
 
     def _batch_dykstra(self, xs):
         # feasibility masks and regret traces need ~1e-8 accuracy, not 1e-12;

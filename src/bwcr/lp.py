@@ -1,6 +1,6 @@
 """Dense two-phase tableau simplex for small linear programs.
 
-Solves   max/min  c . x   s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0.
+Solves   max  c . x   s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0.
 
 Pivoting uses Bland's rule (lowest eligible index) for both the entering and
 leaving choices, which rules out cycling.  Instances here are tiny (tens of
@@ -199,26 +199,25 @@ class _Form:
 
 
 def solve_dense_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
-                   maximize: bool = True, basis: Optional[list] = None,
-                   need_duals: bool = False, workspace: Optional[dict] = None) -> LpResult:
+                   basis: Optional[list] = None, need_duals: bool = False,
+                   workspace: Optional[dict] = None) -> LpResult:
     """Solve the LP, warm from ``basis`` if given; ``workspace`` is a
     caller-owned dict that keeps this LP family's form between calls (see the
     module docstring).  Duals are filled in only with ``need_duals``."""
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
-    obj = c if maximize else -c
     a_ub, a_eq, b_ub, b_eq = _rows(a_ub, n), _rows(a_eq, n), _rhs(b_ub), _rhs(b_eq)
     key = (n, a_ub.shape[0], a_eq.shape[0], b_ub.tobytes(), b_eq.tobytes())
     form = None if workspace is None else workspace.get("form")
     if form is not None and form.key == key:
-        form.update(obj, a_ub, a_eq)
+        form.update(c, a_ub, a_eq)
     else:
-        form = _Form(key, obj, a_ub, a_eq, b_ub, b_eq)
+        form = _Form(key, c, a_ub, a_eq, b_ub, b_eq)
         if workspace is not None:
             workspace["form"] = form
             for name in COUNTERS:
                 workspace.setdefault(name, 0)
-    res = _solve(form, obj, basis, need_duals, maximize)
+    res = _solve(form, c, basis, need_duals)
     if workspace is not None:
         workspace["lp_solves"] += 1
         workspace["lp_pivots"] += res.pivots
@@ -227,7 +226,7 @@ def solve_dense_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
     return res
 
 
-def _finish(form: _Form, obj, basis_list, x, pivots, need_duals, maximize, y=None) -> LpResult:
+def _finish(form: _Form, obj, basis_list, x, pivots, need_duals, y=None) -> LpResult:
     """The optimal result for a final basis and its structural x."""
     value = float(obj @ x)
     # duals from the final basis: y solves B^T y = c_B (in the flipped system)
@@ -242,15 +241,11 @@ def _finish(form: _Form, obj, basis_list, x, pivots, need_duals, maximize, y=Non
             y_ub, y_eq = y[:form.k_ub], y[form.k_ub:]
         except np.linalg.LinAlgError:
             pass
-    if not maximize:
-        value = -value
-        if y_ub is not None:
-            y_ub, y_eq = -y_ub, -y_eq
     return LpResult(status="optimal", x=x, value=value, basis=basis_list,
                     y_ub=y_ub, y_eq=y_eq, pivots=pivots)
 
 
-def _solve(form: _Form, obj, basis, need_duals: bool, maximize: bool) -> LpResult:
+def _solve(form: _Form, obj, basis, need_duals: bool) -> LpResult:
     n, n_rows, n_cols = form.n, form.n_rows, form.n_cols
     big_a, rhs, full_cost = form.big_a, form.rhs, form.full_cost
 
@@ -265,7 +260,7 @@ def _solve(form: _Form, obj, basis, need_duals: bool, maximize: bool) -> LpResul
             if not np.count_nonzero(reduced > _TOL):
                 # still optimal: Bland's test passes with no pivot to make
                 return _finish(form, obj, basis_list, _scatter(idx, xb, n_cols, n), 0,
-                               need_duals, maximize, y)
+                               need_duals, y)
             tableau = np.hstack([binv @ big_a, xb[:, None]])
             cost2 = np.append(reduced, -float(y @ rhs))
 
@@ -315,4 +310,4 @@ def _solve(form: _Form, obj, basis, need_duals: bool, maximize: bool) -> LpResul
     if status == "unbounded":
         return LpResult(status="unbounded", pivots=pivots)
     return _finish(form, obj, basis_list, _scatter(basis_list, tableau[:, -1], n_cols, n),
-                   pivots, need_duals, maximize)
+                   pivots, need_duals)

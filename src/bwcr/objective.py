@@ -50,7 +50,6 @@ class Objective:
     norm: NormPair = L2
     lipschitz: float = math.inf
     smoothness: float = math.inf
-    is_separable: bool = False
 
     @property
     def dim(self) -> int:
@@ -80,8 +79,6 @@ class Objective:
 
 class LinearObjective(Objective):
     """f(x) = c . x."""
-
-    is_separable = True
 
     def __init__(self, coefficients, norm: NormPair = L2):
         self.c = np.asarray(coefficients, dtype=float)
@@ -120,8 +117,6 @@ class SeparableObjective(Objective):
     constants are inf and algorithms that need finite constants must either
     avoid them or supply an explicit override.
     """
-
-    is_separable = True
 
     def __init__(self, terms, norm: NormPair = L2):
         # terms: sequence of dicts {kind, weight, center?}
@@ -247,7 +242,6 @@ class NegativeDistance(Objective):
         self.norm = norm
         self.lipschitz = 1.0
         self.smoothness = math.inf
-        self.is_separable = isinstance(target, Box)
 
     @property
     def dim(self):
@@ -278,7 +272,7 @@ class NegativeDistance(Objective):
         return self.target.support_point(theta, workspace)
 
     def conjugate_components(self, thetas):
-        if not self.is_separable:
+        if not isinstance(self.target, Box):
             raise UnsupportedError("objective is not separable")
         t = np.asarray(thetas, dtype=float)
         box: Box = self.target

@@ -534,3 +534,75 @@ def test_saddle_requires_finite_lipschitz():
            "horizon": 10, "seeds": [1]}
     with pytest.raises(ConfigError, match="unknown algorithm fields"):
         build_algorithm_config(config_from_json(doc), f, None)
+
+
+def _counted_confidence_updates(monkeypatch):
+    from bwcr.confidence import ConfidenceState
+    calls = []
+    original = ConfidenceState.update
+
+    def counting(self, arm, observation):
+        calls.append(arm)
+        return original(self, arm, observation)
+
+    monkeypatch.setattr(ConfidenceState, "update", counting)
+    return calls
+
+
+def test_unread_confidence_state_is_never_updated(monkeypatch):
+    # contextual and known-means runs read another region, so they neither
+    # keep nor update the per-entry confidence state
+    calls = _counted_confidence_updates(monkeypatch)
+    from bwcr.core import ContextualStructure
+    rng = np.random.default_rng(33)
+    contexts = rng.random((2, 4, 2))
+    contexts /= contexts.sum(axis=2, keepdims=True)
+    weights = rng.uniform(0.1, 0.6, (2, 2))
+    ctx = InstanceModel(np.einsum("jin,jn->ji", contexts, weights), "bernoulli",
+                        contextual=ContextualStructure(contexts, weights))
+    cfg = AlgorithmConfig(variant="ucb_bwcr", horizon=30,
+                          objective=LinearObjective(np.array([1.0, 0.5])))
+    hist = run_single(ctx, cfg, seed=0, horizon=30)
+    assert hist.steps == 30 and hist.algorithm.conf is None
+    known = AlgorithmConfig(variant="dual_oco", horizon=30, objective=F5, use_known_means=True)
+    hist = run_single(InstanceModel(V5, "bernoulli"), known, seed=0, horizon=30)
+    assert hist.steps == 30 and hist.algorithm.conf is None
+    assert calls == []
+    # the counter does see the updates of a run that reads the state
+    run_single(InstanceModel(V5, "bernoulli"), AlgorithmConfig(
+        variant="dual_oco", horizon=30, objective=F5), seed=0, horizon=30)
+    assert len(calls) == 30
+
+
+_BWK_V = np.array([[0.9, 0.4], [0.5, 0.0]])
+_LP_COUNT_CONFIGS = {
+    "ucb_bwcr": (V5, dict(objective=F5, constraint_set=S5)),
+    "ucb_bwk": (_BWK_V, dict(budget=10.0)),
+    "dual_oco": (V5, dict(constraint_set=S5)),
+    "fw_primal": (V5, dict(objective=F5)),
+    "fw_bwc": (V5, dict(constraint_set=S5)),
+    "combined": (V5, dict(objective=F5, constraint_set=S5)),
+    "greedy_bwk": (_BWK_V, dict(budget=10.0)),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_LP_COUNT_CONFIGS))
+def test_lp_counts_per_variant(variant):
+    v, fields = _LP_COUNT_CONFIGS[variant]
+    cfg = AlgorithmConfig(variant=variant, horizon=40, **fields)
+    counts = run_single(InstanceModel(v, "bernoulli"), cfg, seed=0, horizon=40) \
+        .algorithm.lp_counts()
+    if variant in ("fw_primal", "fw_bwc", "greedy_bwk"):
+        assert counts is None
+        return
+    assert set(counts) == {"lp_solves", "lp_certified", "lp_pivots", "lp_scalar"}
+    assert counts["lp_certified"] <= counts["lp_solves"]
+    if variant in ("ucb_bwcr", "ucb_bwk"):
+        assert counts["lp_solves"] > 0   # one step LP a step
+
+
+@pytest.mark.parametrize("variant", ["ucb_bwk", "greedy_bwk"])
+def test_budgeted_variants_need_resource_rows(variant):
+    inst = InstanceModel(np.array([[0.9, 0.4]]), "bernoulli")
+    with pytest.raises(ConfigError, match="reward row plus resources"):
+        make_algorithm(AlgorithmConfig(variant=variant, horizon=10, budget=5.0), inst)
