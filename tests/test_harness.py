@@ -341,7 +341,9 @@ def test_bwk_stop_time_at_most_horizon_plus_one(tmp_path):
 # and the criterion-8 one (25 arms, budget T/4), with the default confidence
 # parameter (vacuous intervals, clamped bounds) and with gamma = 0.1 (interior
 # bounds); plus two one-constraint step LPs that mix two arms (gamma = 0.5
-# and 0.1), and a contextual ucb_bwcr run, whose steps solve the interval
+# and 0.1), three smoothed runs on the criterion-7 instance (fw_primal and
+# combined with sigma = 0.1 against the halfspace x1 <= x3), and a contextual
+# ucb_bwcr run, whose steps solve the interval
 # step on the per-entry intervals of its confidence ellipsoids (generator
 # instance n = 2, m = 6, d = 2; linear f, box target).  Refactors of the
 # per-step path must keep every byte.  They were
@@ -362,6 +364,7 @@ _MIXED_BWK_INSTANCE = {"d": 2, "m": 3, "outcome_kind": "bernoulli",
                        "mean_matrix": [0.9, 0.6, 0.2, 0.8, 0.3, 0.0]}
 _MIXED_SIGN_LINEAR = {"kind": "linear", "coefficients": [0.9, -0.4, 0.0]}
 _MIXED_SIGN_TARGET = {"kind": "halfspaces", "normals": [[1.0, -0.5, 0.0]], "offsets": [0.5]}
+_SMOOTH_TARGET = {"kind": "halfspaces", "normals": [[1.0, 0.0, -1.0]], "offsets": [0.0]}
 
 
 def _c8_instance():
@@ -418,6 +421,21 @@ def _trace_configs():
     }
     for name, doc in list(configs.items()):
         configs[name + "_gamma"] = dict(doc, algorithm=dict(doc["algorithm"], gamma=0.1))
+    # the smoothed rules: the Huber-smoothed distance to a halfspace drives
+    # fw_primal's gradient and combined's primal_smoothed updates
+    smooth_f = {"kind": "neg_distance", "set": _SMOOTH_TARGET}
+    configs["fw_primal_smoothed"] = c7(
+        {"variant": "fw_primal", "sigma": 0.1, "gamma": 0.1}, objective=smooth_f, target=False)
+    both = c7({"variant": "combined", "theta_update": "primal_smoothed",
+               "phi_update": "primal_smoothed", "sigma": 0.1, "gamma": 0.1},
+              objective=smooth_f, target=False)
+    both["constraint_set"] = _SMOOTH_TARGET
+    configs["combined_smoothed"] = both
+    configs["combined_smoothed_theta"] = dict(both, objective={
+        "kind": "neg_distance", "set": {"kind": "box", "lower": [0.0, 0.0, 0.0],
+                                        "upper": [0.3, 1.0, 1.0]}},
+        algorithm={"variant": "combined", "theta_update": "primal_smoothed",
+                   "sigma": 0.1, "gamma": 0.1})
     configs["ucb_bwcr_contextual"] = {
         "instance": {"generator": {"kind": "contextual", "n": 2, "m": 6, "d": 2}},
         "objective": {"kind": "linear", "coefficients": [1.0, 0.5]},
@@ -516,6 +534,15 @@ _RECORDED_TRACE_SHA256 = {
     "ucb_bwcr_contextual": (
         "1c1dcf376bd4efcdb2289be323d764990f1e3a6e2289fbf1c65a9dc55279be3d",
         "dfc003209b9fb8ff5478e5b55dd70e45d1381bd46aacf0b76f08fca30c76c1a7"),
+    "fw_primal_smoothed": (
+        "6cbf22334e2c1c94dd074a32fb33f91232fe8060166fa3911e5485648ff7c6c8",
+        "d3c796210121d1468a518409021836be4e75ccd593ab9014f83e2b92c3663da7"),
+    "combined_smoothed": (
+        "7bb401bef09aff5a9d542acc74364444064bb49266001e4bda162041b08e7449",
+        "342ad55366f38cc2e7a7d4c4108b42b7268480a6654d2c059ca05eedf554dba8"),
+    "combined_smoothed_theta": (
+        "2faa325b9892d815a95e870bde2b01b1424d89308b182b50bef3c857990116ba",
+        "d07603ce82e2d6b0586acd7391c5ef86bf210755bc8d6d2fa0eb396e5b5d620a"),
 }
 
 
