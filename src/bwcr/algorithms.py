@@ -36,10 +36,10 @@ import numpy as np
 
 from .confidence import ConfidenceState, EllipsoidState, Hypercube, default_crad, vertex
 from .core import IDLE, InstanceModel, PolicyDistribution, idle_policy, point_mass, uniform_policy
-from .errors import ConfigError
+from .errors import ConfigError, UnsupportedError
 from .geometry import Box, ConvexSet, smoothed_distance
 from .lp import workspace_counts
-from .objective import NegativeDistance, Objective, SmoothedObjective
+from .objective import NegativeDistance, Objective
 from .solvers import LpProblem, entropic_step, make_oco, ogd_step, solve_lp, solve_ucb_step
 
 VARIANTS = ("ucb_bwcr", "ucb_bwk", "dual_oco", "fw_primal", "fw_bwc", "combined", "greedy_bwk")
@@ -78,6 +78,10 @@ class AlgorithmConfig:
             raise ConfigError("horizon must be >= 1")
         if not 0.0 < self.delta < 1.0:
             raise ConfigError("delta must lie in (0, 1)")
+        for name in ("sigma", "gamma", "lipschitz"):
+            value = getattr(self, name)
+            if value is not None and not value > 0.0:
+                raise ConfigError(f"{name} must be > 0")
         f, s = self.objective, self.constraint_set
         v = self.variant
         if v == "ucb_bwcr" and f is None and s is None:
@@ -104,7 +108,7 @@ class AlgorithmConfig:
                     raise ConfigError(f"{name} must be dual, primal, or primal_smoothed")
             if self.theta_update == "primal" and not math.isfinite(f.smoothness):
                 raise ConfigError("primal theta update needs a smooth objective")
-            if "smoothed" in (self.theta_update, self.phi_update) and self.sigma is None:
+            if "primal_smoothed" in (self.theta_update, self.phi_update) and self.sigma is None:
                 raise ConfigError("primal_smoothed updates need sigma")
         if self.oco_kind not in ("ogd", "entropic"):
             raise ConfigError("oco_kind must be ogd or entropic")
@@ -122,6 +126,17 @@ def _finite_lipschitz(config: AlgorithmConfig, f: Objective) -> float:
         raise ConfigError("this variant needs a finite Lipschitz constant; "
                           "set lipschitz explicitly for non-Lipschitz objectives")
     return float(radius)
+
+
+def _smoothed_gradient(f: Objective, sigma: float):
+    """The gradient of f's Nesterov smoothing of width sigma.  The catalog's
+    one non-smooth Lipschitz objective, -d(., S), has it in closed form in l2;
+    a smooth f needs no smoothing (its primal rule reads the gradient)."""
+    if not isinstance(f, NegativeDistance):
+        raise UnsupportedError("smoothing is implemented for neg_distance objectives only")
+    if f.norm.primal != "l2":
+        raise UnsupportedError("smoothing is implemented for the l2 norm only")
+    return lambda z: f.smoothed_gradient(z, sigma)
 
 
 def _make_oco(kind: str, d: int, radius: float):
@@ -344,12 +359,11 @@ class FwPrimalStepper(_StepperBase):
 
     def __init__(self, config, instance):
         super().__init__(config, instance)
-        if config.sigma is not None and not math.isfinite(config.objective.smoothness):
-            self.f: object = SmoothedObjective(config.objective, config.sigma)
-            self._grad = self.f.gradient
+        f = config.objective
+        if config.sigma is not None and not math.isfinite(f.smoothness):
+            self._grad = _smoothed_gradient(f, config.sigma)
         else:
-            self.f = config.objective
-            self._grad = self.f.supergradient
+            self._grad = f.supergradient
 
     def step(self, t: int):
         # IEEE negation is exact and rounding is sign-symmetric, so the
@@ -444,7 +458,7 @@ class CombinedStepper(_StepperBase):
         if config.phi_update == "dual":
             self.oco_phi = _make_oco(config.oco_kind, self.d, 1.0)
         if config.theta_update == "primal_smoothed":
-            self._f_smooth = SmoothedObjective(self.f, config.sigma)
+            self._smoothed_grad = _smoothed_gradient(self.f, config.sigma)
         self.zbar_phi: Optional[np.ndarray] = None
         self._workspace = {}   # warm state of h_S(phi)'s support LP
 
@@ -486,7 +500,7 @@ class CombinedStepper(_StepperBase):
         elif upd == "primal":
             self.theta = -self.f.supergradient(self.xbar)
         else:
-            self.theta = -self._f_smooth.gradient(self.xbar)
+            self.theta = -self._smoothed_grad(self.xbar)
 
         upd = self.config.phi_update
         if upd == "dual":

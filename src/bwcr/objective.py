@@ -9,14 +9,14 @@ together with a maximizing y, which is what the dual algorithms differentiate.
 Three families are provided: linear c . x, separable sums from a small
 catalog (sqrt, log(1+x), 1 - (x-a)^2), and the negated distance to a convex
 set (whose conjugate on the dual unit ball is the set's support function).
-Separable structure is exploited for exact inner minimizations over the dual
-ball, which backs the smoothed oracle.
+The negated distance is the catalog's one non-smooth Lipschitz objective; in
+l2 its Nesterov smoothing is closed-form (``NegativeDistance.smoothed_gradient``).
 """
 from __future__ import annotations
 
 import math
 import warnings
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -69,10 +69,6 @@ class Objective:
     def conjugate_argmax(self, theta: np.ndarray, workspace: Optional[dict] = None) -> np.ndarray:
         raise NotImplementedError
 
-    def conjugate_components(self, thetas: np.ndarray) -> np.ndarray:
-        """Per-coordinate conjugate terms, vectorized; separable oracles only."""
-        raise UnsupportedError("objective is not separable")
-
     def to_json(self) -> dict:
         raise NotImplementedError
 
@@ -102,9 +98,6 @@ class LinearObjective(Objective):
 
     def conjugate_argmax(self, theta, workspace=None):
         return (np.asarray(theta, dtype=float) + self.c > 0.0).astype(float)
-
-    def conjugate_components(self, thetas):
-        return np.maximum(np.asarray(thetas, dtype=float) + self.c, 0.0)
 
     def to_json(self):
         return {"kind": "linear", "coefficients": self.c.tolist(), "norm": self.norm.primal}
@@ -271,12 +264,12 @@ class NegativeDistance(Objective):
     def conjugate_argmax(self, theta, workspace=None):
         return self.target.support_point(theta, workspace)
 
-    def conjugate_components(self, thetas):
-        if not isinstance(self.target, Box):
-            raise UnsupportedError("objective is not separable")
-        t = np.asarray(thetas, dtype=float)
-        box: Box = self.target
-        return np.maximum(t * box.upper, t * box.lower)
+    def smoothed_gradient(self, z: np.ndarray, sigma: float) -> np.ndarray:
+        """Gradient of Nesterov's smoothing of f in the l2 norm: f_sigma =
+        -d_sigma(., S), the Huber-smoothed distance of :func:`smoothed_distance`,
+        which is (1/sigma)-smooth with f <= f_sigma <= f + sigma/2.  The caller
+        checks the norm once."""
+        return -smoothed_distance(z, self.target, sigma)[1]
 
     def to_json(self):
         return {"kind": "neg_distance", "set": self.target.to_json(), "norm": self.norm.primal}
@@ -293,61 +286,6 @@ def objective_from_json(doc: dict) -> Objective:
     if kind == "neg_distance":
         return NegativeDistance(set_from_json(doc["set"]), norm)
     raise ValueError(f"unknown objective kind {kind!r}")
-
-
-def fenchel(f: Objective, theta: np.ndarray) -> float:
-    """Fenchel conjugate f*(theta) = max_y {y . theta + f(y)} over [0,1]^d."""
-    return f.conjugate(theta)
-
-
-def minimize_separable_ball(fvec: Callable[[np.ndarray], np.ndarray], d: int,
-                            radius: float, span: float | None = None,
-                            gs_iters: int = 90):
-    """Minimize sum_j F_j(theta_j) over the l2 ball of the given radius.
-
-    ``fvec`` maps an array of per-coordinate arguments to per-coordinate
-    values, each F_j convex.  First the coordinatewise unconstrained minimum
-    over [-span, span] is found by vectorized golden-section; if it violates
-    the ball, the quadratic penalty multiplier lambda is bisected so that the
-    penalized minimizer lands on the sphere (exact by KKT).
-    """
-    span = radius if span is None else span
-    if not math.isfinite(span):
-        raise ValueError("a finite search span is required")
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def coord_min(lam: float) -> np.ndarray:
-        lo = np.full(d, -span)
-        hi = np.full(d, span)
-        pen = (lambda t: fvec(t) + lam * t * t) if lam > 0.0 else fvec
-        for _ in range(gs_iters):
-            x1 = hi - invphi * (hi - lo)
-            x2 = lo + invphi * (hi - lo)
-            take_left = pen(x1) <= pen(x2)
-            hi = np.where(take_left, x2, hi)
-            lo = np.where(take_left, lo, x1)
-        return (lo + hi) / 2.0
-
-    theta = coord_min(0.0)
-    if np.linalg.norm(theta) <= radius + 1e-12:
-        return theta, float(np.sum(fvec(theta)))
-    lam_lo, lam_hi = 0.0, 1.0
-    for _ in range(80):
-        if np.linalg.norm(coord_min(lam_hi)) <= radius:
-            break
-        lam_hi *= 2.0
-    for _ in range(70):
-        lam_mid = 0.5 * (lam_lo + lam_hi)
-        if np.linalg.norm(coord_min(lam_mid)) > radius:
-            lam_lo = lam_mid
-        else:
-            lam_hi = lam_mid
-    theta = coord_min(lam_hi)
-    nrm = np.linalg.norm(theta)
-    if nrm > radius > 0.0:
-        theta = theta * (radius / nrm)
-    return theta, float(np.sum(fvec(theta)))
 
 
 def _pg_min_conjugate(f: Objective, z: np.ndarray, radius: float, sigma_over_l: float,
@@ -390,49 +328,3 @@ def duality_gap_check(f: Objective, z: np.ndarray, iters: int = 500) -> float:
         cand = f.conjugate(-g) + float(g @ z)
         best = min(best, cand)
     return abs(f.value(z) - best)
-
-
-class SmoothedObjective:
-    """Nesterov smoothing f_sigma(z) = min_{|theta| <= L} f*(theta)
-    + (sigma/2L)|theta|^2 - theta . z; concave, differentiable, (dL/sigma)-smooth,
-    and sandwiched by f <= f_sigma <= f + sigma L / 2.
-    """
-
-    def __init__(self, base: Objective, sigma: float):
-        if sigma <= 0.0:
-            raise ValueError("sigma must be positive")
-        if base.norm.primal != "l2":
-            raise UnsupportedError("smoothing is implemented for the l2 norm only")
-        self.base = base
-        self.sigma = float(sigma)
-        self.lipschitz = base.lipschitz
-        self.norm = base.norm
-        if not math.isfinite(base.lipschitz) and not isinstance(base, NegativeDistance):
-            raise UnsupportedError("smoothing needs a finite Lipschitz constant")
-        self.smoothness = base.dim * self.lipschitz / self.sigma
-
-    @property
-    def dim(self):
-        return self.base.dim
-
-    def value_and_gradient(self, z: np.ndarray):
-        z = np.asarray(z, dtype=float)
-        if isinstance(self.base, NegativeDistance):
-            val, grad = smoothed_distance(z, self.base.target, self.sigma)
-            return -val, -grad
-        # every other objective kind is separable
-        L = self.lipschitz
-        s = self.sigma / (2.0 * L)
-        fvec = lambda t: self.base.conjugate_components(t) + s * t * t - t * z
-        theta, val = minimize_separable_ball(fvec, self.dim, L)
-        return val, -theta
-
-    def value(self, z):
-        return self.value_and_gradient(z)[0]
-
-    def gradient(self, z):
-        return self.value_and_gradient(z)[1]
-
-
-def smoothed(f: Objective, sigma: float) -> SmoothedObjective:
-    return SmoothedObjective(f, sigma)

@@ -237,6 +237,40 @@ def test_cli_solver_limit_and_unsupported_exit_codes(tmp_path, monkeypatch, caps
     assert "unsupported" in capsys.readouterr().err
 
 
+_NEG_DISTANCE = {"objective": {"kind": "neg_distance",
+                               "set": {"kind": "box", "lower": [0.0, 0.0], "upper": [0.5, 0.5]}}}
+
+
+@pytest.mark.parametrize("changes, algorithm, code, message", [
+    # malformed numbers are config errors, never tracebacks or silent runs
+    (_NEG_DISTANCE, {"variant": "combined", "theta_update": "primal_smoothed"}, 2,
+     "primal_smoothed updates need sigma"),
+    ({}, {"variant": "combined", "phi_update": "primal_smoothed"}, 2,
+     "primal_smoothed updates need sigma"),
+    (dict(_NEG_DISTANCE, constraint_set=None), {"variant": "fw_primal", "sigma": 0}, 2,
+     "sigma must be > 0"),
+    ({}, {"variant": "ucb_bwcr", "gamma": 0}, 2, "gamma must be > 0"),
+    ({}, {"variant": "combined", "lipschitz": -1}, 2, "lipschitz must be > 0"),
+    # the smoothing is closed-form for neg_distance only; a smooth f takes
+    # the plain primal rule (the neg_distance runs are recorded trace configs)
+    ({}, {"variant": "combined", "theta_update": "primal_smoothed", "sigma": 0.1}, 5,
+     "smoothing is implemented for neg_distance objectives only"),
+])
+def test_cli_algorithm_field_exit_codes(tmp_path, capsys, changes, algorithm, code, message):
+    from bwcr import cli
+    doc = _config_doc(tmp_path, horizon=5)
+    for key, value in changes.items():
+        if value is None:
+            doc.pop(key)
+        else:
+            doc[key] = value
+    doc["algorithm"] = algorithm
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["simulate", "--config", str(path)]) == code
+    assert message in capsys.readouterr().err
+
+
 def _seed_isolation_doc(variant):
     if variant == "ucb_bwk":
         return {"instance": {"generator": {"kind": "bwk", "m": 5, "resources": 2,

@@ -4,11 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
+from bwcr.algorithms import AlgorithmConfig, make_algorithm
+from bwcr.core import InstanceModel
 from bwcr.errors import UnsupportedError
-from bwcr.geometry import Box, Halfspaces, NormPair
+from bwcr.geometry import Box, Halfspaces, NormPair, smoothed_distance
 from bwcr.objective import (LinearObjective, NegativeDistance, SeparableObjective,
-                            _clip_domain, duality_gap_check, fenchel, minimize_separable_ball,
-                            objective_from_json, smoothed)
+                            _clip_domain, duality_gap_check, objective_from_json)
 
 
 def _rand_objectives(rng):
@@ -82,18 +83,18 @@ def test_clip_domain_warns_exactly_where_elementwise_check_did():
 def test_fenchel_examples():
     c = np.array([0.6, 0.3])
     f = LinearObjective(c)
-    assert fenchel(f, -c) == pytest.approx(0.0)
+    assert f.conjugate(-c) == pytest.approx(0.0)
 
     s = Box(np.zeros(1), np.array([0.5]))
     g = NegativeDistance(s)
-    assert fenchel(g, np.array([1.0])) == pytest.approx(0.5)
+    assert g.conjugate(np.array([1.0])) == pytest.approx(0.5)
 
     h = SeparableObjective([{"kind": "sqrt"}])
     # grid oracle with step 1e-4: max_y (-0.5 y + sqrt(y))
     ys = np.linspace(0.0, 1.0, 10_001)
     oracle = np.max(-0.5 * ys + np.sqrt(ys))
-    assert fenchel(h, np.array([-0.5])) == pytest.approx(0.5, abs=1e-9)
-    assert fenchel(h, np.array([-0.5])) == pytest.approx(oracle, abs=1e-4)
+    assert h.conjugate(np.array([-0.5])) == pytest.approx(0.5, abs=1e-9)
+    assert h.conjugate(np.array([-0.5])) == pytest.approx(oracle, abs=1e-4)
 
 
 def test_fenchel_conjugates_against_grid():
@@ -215,64 +216,11 @@ def test_smoothness_inequality():
 
 def test_smoothed_neg_distance_delegates():
     s = Box(np.zeros(1), np.array([0.5]))
-    f = smoothed(NegativeDistance(s), 0.1)
-    v, g = f.value_and_gradient(np.array([0.8]))
-    assert v == pytest.approx(-0.25)
-    assert g[0] == pytest.approx(-1.0)
-
-
-def test_smoothed_linear_constant_shift():
-    c = np.array([0.6, 0.8])           # norm 1 = lipschitz
-    f = LinearObjective(c)
-    sf = smoothed(f, 0.2)
-    z = np.array([0.5, 0.5])           # interior so the shift formula applies
-    v, g = sf.value_and_gradient(z)
-    assert np.allclose(g, c, atol=1e-6)
-    assert v == pytest.approx(f.value(z) + 0.2 * f.lipschitz / 2.0, abs=1e-6)
-
-
-def test_smoothed_sandwich_catalog():
-    rng = np.random.default_rng(8)
-    f = SeparableObjective([{"kind": "quad", "weight": 0.5, "center": 0.3},
-                            {"kind": "log1p", "weight": 0.6}])
-    sf = smoothed(f, 0.3)
-    bound = 0.3 * f.lipschitz / 2.0
-    for _ in range(500):
-        z = rng.random(2)
-        v = sf.value(z)
-        assert f.value(z) <= v + 1e-4
-        assert v - bound <= f.value(z) + 1e-4
-
-
-def test_smoothed_gradient_lipschitz():
-    f = SeparableObjective([{"kind": "quad", "weight": 0.5, "center": 0.5},
-                            {"kind": "quad", "weight": 0.5, "center": 0.2}])
-    sigma = 0.25
-    sf = smoothed(f, sigma)
-    rng = np.random.default_rng(9)
-    lip = f.lipschitz / sigma
-    for _ in range(20):
-        a, b = rng.random(2), rng.random(2)
-        ga, gb = sf.gradient(a), sf.gradient(b)
-        assert np.linalg.norm(ga - gb) <= lip * np.linalg.norm(a - b) + 1e-5
-
-
-def test_minimize_separable_ball_matches_grid():
-    rng = np.random.default_rng(10)
-    for _ in range(10):
-        coef = rng.uniform(0.5, 2.0, 2)
-        target = rng.uniform(-1.5, 1.5, 2)
-        fvec = lambda t: coef * (t - target) ** 2
-        radius = 1.0
-        theta, val = minimize_separable_ball(fvec, 2, radius)
-        # fine polar grid oracle over the disk
-        best = math.inf
-        for rr in np.linspace(0, radius, 120):
-            for ang in np.linspace(0, 2 * math.pi, 240):
-                cand = np.array([rr * math.cos(ang), rr * math.sin(ang)])
-                best = min(best, float(np.sum(fvec(cand))))
-        assert val <= best + 1e-3
-        assert np.linalg.norm(theta) <= radius + 1e-9
+    f = NegativeDistance(s)
+    for z, expected in ((0.8, -1.0), (0.55, -0.5), (0.3, 0.0)):   # linear, Huber, inside
+        g = f.smoothed_gradient(np.array([z]), 0.1)
+        assert g[0] == pytest.approx(expected)
+        assert np.array_equal(g, -smoothed_distance(np.array([z]), s, 0.1)[1])
 
 
 def test_objective_serialization_roundtrip():
@@ -285,6 +233,10 @@ def test_objective_serialization_roundtrip():
 
 
 def test_non_l2_smoothing_rejected():
-    f = LinearObjective(np.array([1.0]), NormPair("linf"))
+    # the closed-form smoothing is Euclidean; other norms fail when the
+    # stepper is built
+    inst = InstanceModel(np.array([[0.2, 0.9], [0.5, 0.1]]), "fixed")
+    f = NegativeDistance(Box(np.zeros(2), np.full(2, 0.5)), NormPair("linf"))
+    cfg = AlgorithmConfig(variant="fw_primal", horizon=10, objective=f, sigma=0.1)
     with pytest.raises(UnsupportedError):
-        smoothed(f, 0.1)
+        make_algorithm(cfg, inst)
