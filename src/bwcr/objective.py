@@ -288,41 +288,27 @@ def objective_from_json(doc: dict) -> Objective:
     raise ValueError(f"unknown objective kind {kind!r}")
 
 
-def _pg_min_conjugate(f: Objective, z: np.ndarray, radius: float, sigma_over_l: float,
-                      iters: int, theta0: Optional[np.ndarray] = None):
-    """Projected (sub)gradient for min f*(theta) + (s/2)|theta|^2 - theta . z
-    over the l2 ball; returns (best value, best theta).  Step decay 1/(k+1).
-    """
-    d = z.shape[0]
-    theta = np.zeros(d) if theta0 is None else theta0.copy()
-    scale = radius if math.isfinite(radius) and radius > 0 else 1.0
-    best_v, best_t = math.inf, theta.copy()
-    for k in range(iters):
-        y = f.conjugate_argmax(theta)
-        val = f.conjugate(theta) + 0.5 * sigma_over_l * float(theta @ theta) - float(theta @ z)
-        if val < best_v:
-            best_v, best_t = val, theta.copy()
-        grad = y + sigma_over_l * theta - z
-        theta = theta - (scale / (k + 1.0)) * grad
-        if math.isfinite(radius):
-            theta = project_l2_ball(theta, radius)
-    val = f.conjugate(theta) + 0.5 * sigma_over_l * float(theta @ theta) - float(theta @ z)
-    if val < best_v:
-        best_v, best_t = val, theta
-    return best_v, best_t
-
-
 def duality_gap_check(f: Objective, z: np.ndarray, iters: int = 500) -> float:
     """|f(z) - min_{dual ball} (f*(theta) - theta . z)|, test-suite diagnostic.
 
-    The minimum is approached by projected gradient plus the stationary
-    candidate theta = -supergradient(z); by weak duality every candidate is
-    an upper bound for the true minimum, so the best one is kept.
+    The minimum is approached by projected gradient from theta = 0 over the
+    ball of radius L (step L/(k+1)) plus the stationary candidate
+    theta = -supergradient(z); by weak duality every candidate is an upper
+    bound for the true minimum, so the best one is kept.
     """
     if f.norm.primal != "l2":
         raise UnsupportedError("duality_gap_check supports the l2 norm only")
     z = np.asarray(z, dtype=float)
-    best, _ = _pg_min_conjugate(f, z, f.lipschitz, 0.0, iters)
+    radius = f.lipschitz
+    scale = radius if math.isfinite(radius) and radius > 0 else 1.0
+    theta = np.zeros(z.shape[0])
+    best = math.inf
+    for k in range(iters):
+        best = min(best, f.conjugate(theta) - float(theta @ z))
+        theta = theta - (scale / (k + 1.0)) * (f.conjugate_argmax(theta) - z)
+        if math.isfinite(radius):
+            theta = project_l2_ball(theta, radius)
+    best = min(best, f.conjugate(theta) - float(theta @ z))
     g = f.supergradient(z)
     if np.all(np.isfinite(g)) and np.linalg.norm(g) <= f.lipschitz + 1e-9:
         cand = f.conjugate(-g) + float(g @ z)

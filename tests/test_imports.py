@@ -10,8 +10,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "bwcr"
 def _unused_imports(source: str) -> list:
     """Names bound by an import statement (anywhere in the module, local
     imports included) that no expression of the module reads.  A name counts
-    as read when it appears as a bare name, as the root of an attribute chain,
-    or in ``__all__``."""
+    as read when it appears as a bare name or as the root of an attribute
+    chain; the package declares no ``__all__``."""
     tree = ast.parse(source)
     bound = {}
     used = set()
@@ -24,9 +24,6 @@ def _unused_imports(source: str) -> list:
                 bound.setdefault(name, node.lineno)
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif (isinstance(node, ast.Assign)
-              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            used.update(ast.literal_eval(node.value))
     return sorted(f"{name} (line {line})" for name, line in bound.items() if name not in used)
 
 
