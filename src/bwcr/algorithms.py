@@ -29,6 +29,7 @@ uniform distribution.  Both choices keep runs reproducible.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -78,6 +79,14 @@ class AlgorithmConfig:
             raise ConfigError("horizon must be >= 1")
         if not 0.0 < self.delta < 1.0:
             raise ConfigError("delta must lie in (0, 1)")
+        for name in ("budget", "eps", "gamma", "sigma", "lipschitz"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, numbers.Real)):
+                raise ConfigError(f"{name} must be a number")
+        for name in ("allow_idle", "use_known_means"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false")
         for name in ("sigma", "gamma", "lipschitz"):
             value = getattr(self, name)
             if value is not None and not value > 0.0:

@@ -218,9 +218,9 @@ class Halfspaces(ConvexSet):
             return self._support_knapsack(theta, self.normals[0], self.offsets[0])
         # only the cost changes between calls, so the caller's last basis is
         # always primal feasible: the LP certifies it or pivots from it, and
-        # while the basis stays the workspace's inverse of it is reused.  The
-        # basis and the LP's form live in the caller's workspace, never on
-        # the set, which runs with different seeds share.
+        # the workspace replays the tableaux of bases and pivots it has seen
+        # (see bwcr.lp).  The basis and the LP's form live in the caller's
+        # workspace, never on the set, which runs with different seeds share.
         ws = {} if workspace is None else workspace
         res = solve_dense_lp(theta, a_ub=self._lp_rows, b_ub=self._lp_rhs,
                              basis=ws.get("basis"), workspace=workspace)

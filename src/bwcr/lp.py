@@ -17,17 +17,31 @@ starts phase 2 from B^-1 [A | b]; any other falls back to the cold phase 1.
 Workspace contract.  ``solve_dense_lp(..., workspace=ws)`` keeps the
 standard form [A_ub I; A_eq 0] (rows flipped to b >= 0) in the caller-owned
 dict ``ws`` and writes each call's cost and constraint entries into it in
-place.  It also keeps the last inverted basis with B^-1, x_B = B^-1 b and the
-duals y: a warm call whose basis columns are bit-for-bit unchanged reuses B^-1
-and x_B, recomputes y only if c_B changed, and certifies the basis with one
-reduced-cost product.  The inverse of the same B has the same bits, so a
-workspace changes no result: x, value, basis and pivots equal those of the
-stateless call.  One workspace serves one LP family, a fixed shape and fixed
-``b_ub``/``b_eq``; a call with another shape or rhs rebuilds the form.  The
-workspace also counts the solves made through it (``lp_solves``), the warm
-ones certified with no pivot (``lp_certified``) and the pivots of both
-phases (``lp_pivots``); see :func:`workspace_counts`.  ``lp_scalar`` counts
-the warm bases that :mod:`bwcr.solvers` certified in scalar floats, for LPs
+place.  One workspace serves one LP family, a fixed shape and fixed
+``b_ub``/``b_eq``; a call with another shape or rhs rebuilds the form.
+
+While the bits of A stay the same (the support LP of a polyhedral target,
+where only the cost moves), the form also keeps a cache of nodes.  A root,
+keyed by a warm start basis, holds B^-1, max(x_B, 0) and, once a pivot is
+made from it, the tableau [B^-1 A | x_B]; its children, keyed by entering
+column, hold the tableau after that Bland pivot, the new basis and the pivot
+row.  Both are functions of A and b alone: Bland's ratio test never reads
+the cost.  A warm call therefore computes only what depends on the cost, the
+duals y (kept while c_B's bytes stay the same), the reduced costs and one
+cost-row update per pivot, and walks the cached tableaux; ``_pivot`` runs
+only on a miss.  Every float operation that reaches a result is the one the
+stateless call makes, so x, value, basis and pivots are bit-for-bit those of
+``solve_dense_lp`` without a workspace.  A call that writes new bits into A
+drops the nodes, so families that rewrite A every call (the interval-step
+and BwK LPs) invert and pivot as if there were no cache.  The cache holds at
+most ``_CACHE_FLOATS`` tableau entries' worth of nodes; a full cache is
+dropped and grows again.
+
+The workspace also counts the solves made through it (``lp_solves``), the
+warm ones certified with no pivot (``lp_certified``), the pivots of both
+phases (``lp_pivots``) and, of those, the ones served from the node cache
+(``lp_replayed``); see :func:`workspace_counts`.  ``lp_scalar`` counts the
+warm bases that :mod:`bwcr.solvers` certified in scalar floats, for LPs
 with one constraint row besides the simplex, without calling this module;
 each of those also counts as one solve and one certified solve.  Warm state
 belongs to the caller, typically one run: the basis is passed in and handed
@@ -47,8 +61,10 @@ from .errors import SolverLimitError
 _TOL = 1e-9
 _PIV_TOL = 1e-11
 _FEAS_TOL = 1e-9    # least basic value a warm basis may carry and stay feasible
+_MAX_ITER = 20_000
+_CACHE_FLOATS = 1 << 17   # tableau entries (1 MiB) a workspace's node cache may hold
 
-COUNTERS = ("lp_solves", "lp_certified", "lp_pivots", "lp_scalar")
+COUNTERS = ("lp_solves", "lp_certified", "lp_pivots", "lp_replayed", "lp_scalar")
 
 
 @dataclass
@@ -60,11 +76,12 @@ class LpResult:
     y_ub: Optional[np.ndarray] = None
     y_eq: Optional[np.ndarray] = None
     pivots: int = 0                # simplex pivots made, both phases
+    replayed: int = 0              # of those, the ones a workspace's cache served
 
 
 def workspace_counts(workspace: dict) -> dict:
-    """Solves, certified warm solves, pivots and scalar certifies made
-    through ``workspace``."""
+    """Solves, certified warm solves, pivots, replayed pivots and scalar
+    certifies made through ``workspace``."""
     return {key: workspace.get(key, 0) for key in COUNTERS}
 
 
@@ -76,28 +93,35 @@ def _pivot(tableau: np.ndarray, basis: list, row: int, col: int):
     basis[row] = col
 
 
-def _bland_iterate(tableau: np.ndarray, basis: list, cost: np.ndarray, allowed: np.ndarray,
-                   max_iter: int = 20_000) -> tuple:
-    """Run simplex iterations maximizing ``cost`` over columns in ``allowed``;
-    returns (status, pivots made).
+def _leaving_row(tableau: np.ndarray, basis, col: int) -> Optional[int]:
+    """Bland's ratio test for entering column ``col``: the leaving row, or
+    None when no entry of the column is positive (unbounded)."""
+    colvals = tableau[:, col]
+    rows = np.flatnonzero(colvals > _PIV_TOL)
+    if rows.size == 0:
+        return None
+    ratios = tableau[rows, -1] / colvals[rows]
+    best = ratios.min()
+    tied = rows[ratios <= best + 1e-12]
+    # Bland: among tied rows leave the one whose basic variable has lowest index
+    return int(tied[np.argmin([basis[r] for r in tied])])
+
+
+def _bland_iterate(tableau: np.ndarray, basis: list, cost: np.ndarray,
+                   max_iter: int = _MAX_ITER) -> tuple:
+    """Run simplex iterations maximizing ``cost``; returns (status, pivots made).
 
     ``cost`` is mutated in place into the reduced-cost row.
     """
     for pivots in range(max_iter):
         # reduced costs: positive entries improve the (maximization) objective
-        candidates = np.flatnonzero(allowed & (cost[:-1] > _TOL))
+        candidates = np.flatnonzero(cost[:-1] > _TOL)
         if candidates.size == 0:
             return "optimal", pivots
         col = int(candidates[0])  # Bland: lowest index enters
-        colvals = tableau[:, col]
-        rows = np.flatnonzero(colvals > _PIV_TOL)
-        if rows.size == 0:
+        row = _leaving_row(tableau, basis, col)
+        if row is None:
             return "unbounded", pivots
-        ratios = tableau[rows, -1] / colvals[rows]
-        best = ratios.min()
-        tied = rows[ratios <= best + 1e-12]
-        # Bland: among tied rows leave the one whose basic variable has lowest index
-        row = int(tied[np.argmin([basis[r] for r in tied])])
         _pivot(tableau, basis, row, col)
         cost -= cost[col] * tableau[row]
     raise SolverLimitError(f"simplex iteration limit ({max_iter} pivots) exceeded")
@@ -124,9 +148,45 @@ def _scatter(basis, x_basic: np.ndarray, n_cols: int, n: int) -> np.ndarray:
     return x_full[:n]
 
 
+class _Node:
+    """A basis of one standard form and its tableau [B^-1 A | x_B].
+    ``children`` maps an entering column to the node that Bland's pivot on it
+    leads to (``row`` is the pivot row), or to _UNBOUNDED."""
+
+    __slots__ = ("basis", "tableau", "row", "children")
+
+    def __init__(self, basis, tableau=None, row=-1):
+        self.basis, self.tableau, self.row, self.children = basis, tableau, row, {}
+
+
+class _Root(_Node):
+    """A warm start basis: B^-1, max(x_B, 0) (None when B is singular or x_B
+    infeasible), the duals y of the last c_B, and the tableau, built on the
+    first pivot from it."""
+
+    __slots__ = ("idx", "binv", "xb", "cb_bytes", "y")
+
+    def __init__(self, key, idx, binv, xb):
+        super().__init__(key)
+        self.idx, self.binv, self.xb = idx, binv, xb
+        self.cb_bytes = self.y = None
+
+    def duals(self, full_cost: np.ndarray) -> np.ndarray:
+        """y = c_B B^-1, recomputed only when c_B's bytes change."""
+        cb = full_cost.take(self.idx)
+        raw = cb.tobytes()
+        if raw != self.cb_bytes:
+            self.cb_bytes, self.y = raw, cb @ self.binv
+        return self.y
+
+
+_UNBOUNDED = _Node(())
+
+
 class _Form:
     """The standard form of one LP family: [A_ub I; A_eq 0] x = |b| with the
-    rows of negative b flipped, the cost row, and the last inverted basis."""
+    rows of negative b flipped, the cost row, and the node cache of its warm
+    bases (valid while the bits of A stay the same)."""
 
     def __init__(self, key, obj, a_ub, a_eq, b_ub, b_eq):
         self.key = key
@@ -149,16 +209,14 @@ class _Form:
         sign = np.where(self.flips, -1.0, 1.0)[:, None]
         self.sign_ub = sign[:k_ub] if self.flips[:k_ub].any() else None
         self.sign_eq = sign[k_ub:] if self.flips[k_ub:].any() else None
-        self.inv_basis = None     # the basis whose inverse is kept below
-        self.inv_bytes = None     # its basis matrix, to tell it unchanged
-        self.binv = None
-        self.idx = None           # inv_basis as an index array
-        self.xb = None            # max(B^-1 b, 0), or None when infeasible
-        self.cb_bytes = None      # the c_B that gave y
-        self.y = None
+        self.a_bytes = big_a.tobytes()
+        self.roots = {}       # start basis (a tuple) -> _Root
+        self.size = 0         # nodes cached under roots
+        self.cap = max(1, _CACHE_FLOATS // max(1, self.n_rows * (self.n_cols + 1)))
 
     def update(self, obj, a_ub, a_eq):
-        """Write a new cost and new constraint entries of the same family."""
+        """Write a new cost and new constraint entries of the same family;
+        new bits in A drop the cached nodes."""
         n, k_ub = self.n, self.k_ub
         self.full_cost[:n] = obj
         big_a = self.big_a
@@ -170,32 +228,73 @@ class _Form:
             big_a[k_ub:, :n] = a_eq
         else:
             np.multiply(a_eq, self.sign_eq, out=big_a[k_ub:, :n])
+        raw = big_a.tobytes()
+        if raw != self.a_bytes:
+            self.a_bytes, self.roots, self.size = raw, {}, 0
 
-    def warm(self, basis: list):
-        """(basis as indices, B^-1, max(x_B, 0), y) for ``basis``, or None when
-        B is singular or x_B infeasible.  B^-1 and x_B are kept while the
-        basis and the bits of B stay the same, y while c_B does too."""
-        same = basis == self.inv_basis
-        idx = self.idx if same else np.array(basis, dtype=np.intp)
-        bmat = self.big_a.take(idx, axis=1)
-        raw = bmat.tobytes()
-        if not same or raw != self.inv_bytes:
-            try:
-                binv = np.linalg.inv(bmat)
-            except np.linalg.LinAlgError:
+    def _count_node(self):
+        if self.size >= self.cap:
+            self.roots, self.size = {}, 0
+        self.size += 1
+
+    def root(self, key: tuple) -> Optional[_Root]:
+        """The root of start basis ``key``, or None when its indices are out
+        of range, B is singular or x_B is infeasible."""
+        root = self.roots.get(key)
+        if root is None:
+            if not all(0 <= j < self.n_cols for j in key):
                 return None
-            xb = binv @ self.rhs
-            self.inv_basis, self.idx, self.inv_bytes, self.binv = list(basis), idx, raw, binv
-            self.xb = np.maximum(xb, 0.0) \
-                if np.count_nonzero(xb >= -_FEAS_TOL) == xb.size else None
-            self.cb_bytes = None
-        if self.xb is None:
-            return None
-        cb = self.full_cost.take(idx)
-        raw = cb.tobytes()
-        if raw != self.cb_bytes:
-            self.cb_bytes, self.y = raw, cb @ self.binv
-        return idx, self.binv, self.xb, self.y
+            root = self._new_root(key)
+            self._count_node()
+            self.roots[key] = root
+        return root if root.xb is not None else None
+
+    def _new_root(self, key: tuple) -> _Root:
+        idx = np.array(key, dtype=np.intp)
+        try:
+            binv = np.linalg.inv(self.big_a.take(idx, axis=1))
+        except np.linalg.LinAlgError:
+            return _Root(key, idx, None, None)
+        xb = binv @ self.rhs
+        feasible = np.count_nonzero(xb >= -_FEAS_TOL) == xb.size
+        return _Root(key, idx, binv, np.maximum(xb, 0.0) if feasible else None)
+
+    def _grow(self, node: _Node, col: int) -> _Node:
+        """The child of ``node`` for entering column ``col``, cached under it."""
+        row = _leaving_row(node.tableau, node.basis, col)
+        if row is None:
+            child = _UNBOUNDED
+        else:
+            tableau, basis = node.tableau.copy(), list(node.basis)
+            _pivot(tableau, basis, row, col)
+            child = _Node(basis, tableau, row)
+        self._count_node()
+        node.children[col] = child
+        return child
+
+    def replay(self, root: _Root, cost: np.ndarray) -> tuple:
+        """Phase 2 from ``root``, as :func:`_bland_iterate` runs it, on cached
+        tableaux: Bland's choices read only the cost row, which is updated in
+        place, and each pivot's tableau comes from the cache or is made and
+        kept.  Returns (status, final node, pivots, pivots from the cache)."""
+        if root.tableau is None:
+            root.tableau = np.hstack([root.binv @ self.big_a, root.xb[:, None]])
+        node, replayed = root, 0
+        for pivots in range(_MAX_ITER):
+            candidates = np.flatnonzero(cost[:-1] > _TOL)
+            if candidates.size == 0:
+                return "optimal", node, pivots, replayed
+            col = int(candidates[0])
+            child = node.children.get(col)
+            if child is None:
+                child = self._grow(node, col)
+            elif child is not _UNBOUNDED:
+                replayed += 1
+            if child is _UNBOUNDED:
+                return "unbounded", node, pivots, replayed
+            cost -= cost[col] * child.tableau[child.row]
+            node = child
+        raise SolverLimitError(f"simplex iteration limit ({_MAX_ITER} pivots) exceeded")
 
 
 def solve_dense_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
@@ -221,6 +320,7 @@ def solve_dense_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
     if workspace is not None:
         workspace["lp_solves"] += 1
         workspace["lp_pivots"] += res.pivots
+        workspace["lp_replayed"] += res.replayed
         if basis is not None and res.pivots == 0 and res.status == "optimal":
             workspace["lp_certified"] += 1
     return res
@@ -246,66 +346,74 @@ def _finish(form: _Form, obj, basis_list, x, pivots, need_duals, y=None) -> LpRe
 
 
 def _solve(form: _Form, obj, basis, need_duals: bool) -> LpResult:
+    if basis is not None and len(basis) == form.n_rows:
+        root = form.root(tuple(basis))
+        if root is not None:
+            return _solve_warm(form, obj, root, need_duals)
+    return _solve_cold(form, obj, need_duals)
+
+
+def _solve_warm(form: _Form, obj, root: _Root, need_duals: bool) -> LpResult:
+    """Certify the feasible start basis ``root`` or run phase 2 from it."""
+    n, n_cols, full_cost = form.n, form.n_cols, form.full_cost
+    y = root.duals(full_cost)
+    reduced = full_cost - y @ form.big_a
+    if not np.count_nonzero(reduced > _TOL):
+        # still optimal: Bland's test passes with no pivot to make
+        return _finish(form, obj, list(root.basis), _scatter(root.idx, root.xb, n_cols, n), 0,
+                       need_duals, y)
+    cost2 = np.append(reduced, -float(y @ form.rhs))
+    status, node, pivots, replayed = form.replay(root, cost2)
+    if status == "unbounded":
+        return LpResult(status="unbounded", pivots=pivots, replayed=replayed)
+    res = _finish(form, obj, list(node.basis), _scatter(node.basis, node.tableau[:, -1], n_cols, n),
+                  pivots, need_duals)
+    res.replayed = replayed
+    return res
+
+
+def _solve_cold(form: _Form, obj, need_duals: bool) -> LpResult:
+    """Phase 1 from the artificial basis, then phase 2."""
     n, n_rows, n_cols = form.n, form.n_rows, form.n_cols
     big_a, rhs, full_cost = form.big_a, form.rhs, form.full_cost
-
-    tableau = None
-    basis_list = None if basis is None else list(basis)
-    if basis_list is not None and len(basis_list) == n_rows and (
-            basis_list == form.inv_basis or all(0 <= j < n_cols for j in basis_list)):
-        warm = form.warm(basis_list)
-        if warm is not None:
-            idx, binv, xb, y = warm
-            reduced = full_cost - y @ big_a
-            if not np.count_nonzero(reduced > _TOL):
-                # still optimal: Bland's test passes with no pivot to make
-                return _finish(form, obj, basis_list, _scatter(idx, xb, n_cols, n), 0,
-                               need_duals, y)
-            tableau = np.hstack([binv @ big_a, xb[:, None]])
-            cost2 = np.append(reduced, -float(y @ rhs))
-
-    pivots = 0
-    if tableau is None:
-        # phase 1: identity from artificials, minimize their sum
-        n_art = n_rows
-        t1 = np.zeros((n_rows, n_cols + n_art + 1))
-        t1[:, :n_cols] = big_a
-        t1[:, n_cols:n_cols + n_art] = np.eye(n_rows)
-        t1[:, -1] = rhs
-        basis_list = list(range(n_cols, n_cols + n_art))
-        # maximize -(sum of artificials); start from its reduced-cost row
-        cost1 = np.zeros(n_cols + n_art + 1)
-        cost1[n_cols:n_cols + n_art] = -1.0
-        for r in range(n_rows):
-            cost1 -= cost1[basis_list[r]] * t1[r]
-        allowed1 = np.ones(n_cols + n_art, dtype=bool)
-        status, pivots = _bland_iterate(t1, basis_list, cost1, allowed1)
-        # cost row rhs carries minus the phase-1 objective; positive means
-        # artificials could not be driven to zero
-        if status != "optimal" or cost1[-1] > 1e-7:
-            return LpResult(status="infeasible", pivots=pivots)
-        # drive leftover artificials out of the basis where possible
-        keep_rows = []
-        for r in range(n_rows):
-            if basis_list[r] >= n_cols:
-                piv_cols = np.flatnonzero(np.abs(t1[r, :n_cols]) > 1e-9)
-                if piv_cols.size:
-                    _pivot(t1, basis_list, r, int(piv_cols[0]))
-                    pivots += 1
-                    keep_rows.append(r)
-                # else: redundant row, dropped below
-            else:
+    # phase 1: identity from artificials, minimize their sum
+    n_art = n_rows
+    t1 = np.zeros((n_rows, n_cols + n_art + 1))
+    t1[:, :n_cols] = big_a
+    t1[:, n_cols:n_cols + n_art] = np.eye(n_rows)
+    t1[:, -1] = rhs
+    basis_list = list(range(n_cols, n_cols + n_art))
+    # maximize -(sum of artificials); start from its reduced-cost row
+    cost1 = np.zeros(n_cols + n_art + 1)
+    cost1[n_cols:n_cols + n_art] = -1.0
+    for r in range(n_rows):
+        cost1 -= cost1[basis_list[r]] * t1[r]
+    status, pivots = _bland_iterate(t1, basis_list, cost1)
+    # cost row rhs carries minus the phase-1 objective; positive means
+    # artificials could not be driven to zero
+    if status != "optimal" or cost1[-1] > 1e-7:
+        return LpResult(status="infeasible", pivots=pivots)
+    # drive leftover artificials out of the basis where possible
+    keep_rows = []
+    for r in range(n_rows):
+        if basis_list[r] >= n_cols:
+            piv_cols = np.flatnonzero(np.abs(t1[r, :n_cols]) > 1e-9)
+            if piv_cols.size:
+                _pivot(t1, basis_list, r, int(piv_cols[0]))
+                pivots += 1
                 keep_rows.append(r)
-        t1 = t1[keep_rows]
-        basis_list = [basis_list[r] for r in keep_rows]
-        tableau = np.hstack([t1[:, :n_cols], t1[:, -1:]])
-        cost2 = np.concatenate([full_cost, [0.0]])
-        for r in range(tableau.shape[0]):
-            cost2 -= cost2[basis_list[r]] * tableau[r]
+            # else: redundant row, dropped below
+        else:
+            keep_rows.append(r)
+    t1 = t1[keep_rows]
+    basis_list = [basis_list[r] for r in keep_rows]
+    tableau = np.hstack([t1[:, :n_cols], t1[:, -1:]])
+    cost2 = np.concatenate([full_cost, [0.0]])
+    for r in range(tableau.shape[0]):
+        cost2 -= cost2[basis_list[r]] * tableau[r]
 
     # phase 2
-    allowed2 = np.ones(n_cols, dtype=bool)
-    status, pivots2 = _bland_iterate(tableau, basis_list, cost2, allowed2)
+    status, pivots2 = _bland_iterate(tableau, basis_list, cost2)
     pivots += pivots2
     if status == "unbounded":
         return LpResult(status="unbounded", pivots=pivots)

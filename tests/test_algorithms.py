@@ -595,8 +595,9 @@ def test_lp_counts_per_variant(variant):
     if variant in ("fw_primal", "fw_bwc", "greedy_bwk"):
         assert counts is None
         return
-    assert set(counts) == {"lp_solves", "lp_certified", "lp_pivots", "lp_scalar"}
+    assert set(counts) == {"lp_solves", "lp_certified", "lp_pivots", "lp_replayed", "lp_scalar"}
     assert counts["lp_certified"] <= counts["lp_solves"]
+    assert counts["lp_replayed"] <= counts["lp_pivots"]
     if variant in ("ucb_bwcr", "ucb_bwk"):
         assert counts["lp_solves"] > 0   # one step LP a step
 

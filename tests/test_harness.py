@@ -271,6 +271,27 @@ def test_cli_algorithm_field_exit_codes(tmp_path, capsys, changes, algorithm, co
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("budget", "100", "budget must be a number"),
+    ("eps", "0.1", "eps must be a number"),
+    ("gamma", "0.1", "gamma must be a number"),
+    ("gamma", True, "gamma must be a number"),
+    ("sigma", [0.1], "sigma must be a number"),
+    ("lipschitz", {"value": 1}, "lipschitz must be a number"),
+    ("allow_idle", "false", "allow_idle must be true or false"),
+    ("use_known_means", 1, "use_known_means must be true or false"),
+])
+def test_cli_mistyped_algorithm_fields_exit_2(tmp_path, capsys, field, value, message):
+    # a wrong JSON type is a config error, not a traceback from the run
+    from bwcr import cli
+    doc = _config_doc(tmp_path, horizon=5)
+    doc["algorithm"] = {"variant": "ucb_bwcr", field: value}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["simulate", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def _seed_isolation_doc(variant):
     if variant == "ucb_bwk":
         return {"instance": {"generator": {"kind": "bwk", "m": 5, "resources": 2,
@@ -475,6 +496,16 @@ def _trace_configs():
         "objective": {"kind": "linear", "coefficients": [1.0, 0.5]},
         "constraint_set": {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 0.5]},
         "algorithm": {"variant": "ucb_bwcr"}}
+    # support LPs with k > 1 halfspaces, warm through the run's workspace:
+    # the sensor covering target (constraint only) and a two-row target
+    configs["sensor_dual_oco"] = {
+        "instance": {"generator": {"kind": "sensor_network", "m": 4, "points": 6}},
+        "instance_seed": 3, "algorithm": {"variant": "dual_oco"}}
+    two_halfspaces = c7({"variant": "combined"}, target=False)
+    two_halfspaces["constraint_set"] = {"kind": "halfspaces",
+                                        "normals": [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]],
+                                        "offsets": [0.8, 0.9]}
+    configs["combined_two_halfspaces"] = two_halfspaces
     for doc in configs.values():
         doc.update(horizon=_TRACE_T, seeds=list(_TRACE_SEEDS))
     return configs
@@ -577,6 +608,12 @@ _RECORDED_TRACE_SHA256 = {
     "combined_smoothed_theta": (
         "2faa325b9892d815a95e870bde2b01b1424d89308b182b50bef3c857990116ba",
         "d07603ce82e2d6b0586acd7391c5ef86bf210755bc8d6d2fa0eb396e5b5d620a"),
+    "sensor_dual_oco": (
+        "5284de9e6f596ce3cfd5b5f99142e7ee35aec17f83e8b41393d207413d385e2d",
+        "26cdf91b555b225f5be61540b20e4bf7c8fbf07282619686f7b0d891caa52f8d"),
+    "combined_two_halfspaces": (
+        "56aa179d2e1d0cacce9f3f87c956ca1bf516ff759dba3f3e9fb5e0b916b72c01",
+        "c652bcc4c3aa0ad20321d6f4cb482689bd8f51db920335cf0e9da378257b8f82"),
 }
 
 

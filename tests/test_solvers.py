@@ -216,9 +216,10 @@ def _lp_families(draw):
 
 
 def _assert_same(got, ref):
+    """The same result bit for bit."""
     assert (got.status, got.basis, got.pivots) == (ref.status, ref.basis, ref.pivots)
     if ref.status == "optimal":
-        assert np.array_equal(got.x, ref.x) and got.value == ref.value
+        assert got.x.tobytes() == ref.x.tobytes() and got.value == ref.value
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -277,11 +278,97 @@ def test_halfspaces_support_workspace_matches_stateless():
     assert ws["basis"] is not None
 
 
+def _oco_thetas(rng, d, count):
+    """Small OCO-like moves of the cost, with a jump now and then."""
+    theta = rng.standard_normal(d)
+    for k in range(count):
+        theta = rng.standard_normal(d) if k % 40 == 0 else theta + 0.2 * rng.standard_normal(d)
+        yield theta
+
+
+def _replay_bits(ws, thetas, a_ub, b_ub, basis=None):
+    """Solve each cost warm from the last optimal basis through ``ws``; every
+    result must equal the stateless solve from the same basis bit for bit.
+    Returns the last basis."""
+    for theta in thetas:
+        got = solve_dense_lp(theta, a_ub=a_ub, b_ub=b_ub, basis=basis, workspace=ws)
+        _assert_same(got, solve_dense_lp(theta, a_ub=a_ub, b_ub=b_ub, basis=basis))
+        if got.status == "optimal":
+            basis = got.basis
+    return basis
+
+
+def test_support_lp_node_cache_matches_stateless(monkeypatch):
+    from bwcr import lp
+    rng = np.random.default_rng(5)
+    d = 4
+    s = Halfspaces(-rng.uniform(0.0, 1.0, (5, d)).round(3), np.full(5, -0.3))
+    rows, rhs = s._lp_rows.copy(), s._lp_rhs
+    ws = {}
+    basis = _replay_bits(ws, _oco_thetas(rng, d, 300), rows, rhs)
+    assert 0 < ws["lp_replayed"] <= ws["lp_pivots"]
+    # one ulp of A, rewritten in place as a caller would: the cached nodes
+    # go, the form stays, and only the start basis is cached again
+    form = ws["form"]
+    rows[0, 0] = np.nextafter(rows[0, 0], 0.0)
+    replayed, start = ws["lp_replayed"], tuple(basis)
+    basis = _replay_bits(ws, [rng.standard_normal(d)], rows, rhs, basis)
+    assert ws["form"] is form and list(form.roots) == [start]
+    assert ws["lp_replayed"] == replayed
+    basis = _replay_bits(ws, _oco_thetas(rng, d, 100), rows, rhs, basis)
+    # a new b rebuilds the form
+    basis = _replay_bits(ws, _oco_thetas(rng, d, 100), rows, rhs + 0.05, basis)
+    assert ws["form"] is not form
+    # past the node cap the cache is dropped and regrown; results stay exact
+    thetas = list(_oco_thetas(rng, d, 200))
+    uncapped = {}
+    _replay_bits(uncapped, thetas, rows, rhs)
+    monkeypatch.setattr(lp, "_CACHE_FLOATS", 8 * 9 * 14)   # eight 9 x (13 + 1) tableaux
+    ws = {}
+    _replay_bits(ws, thetas, rows, rhs)
+    assert ws["form"].size <= 8 < uncapped["form"].size and ws["lp_replayed"] > 0
+
+
+def test_lp_node_cache_unbounded_singular_and_cold():
+    # a strip in the plane: unbounded along (1, 1), bounded for other costs
+    a_ub, b_ub = np.array([[1.0, -1.0], [-1.0, 1.0]]), np.ones(2)
+    thetas = [np.array(t) for t in ([-1.0, -0.5], [1.0, 1.0], [1.0, 1.0], [1.0, -2.0],
+                                    [1.0, 1.0], [-2.0, 1.0], [1.0, -2.0], [1.0, 1.0])]
+    ws = {}
+    basis = _replay_bits(ws, thetas, a_ub, b_ub)
+    basis = _replay_bits(ws, thetas, a_ub, b_ub, basis)
+    assert ws["lp_replayed"] > 0
+    # a singular start basis and an infeasible one fall back to phase 1
+    for start in ([0, 1], [1, 3]):
+        _replay_bits(ws, thetas[:1] * 2, a_ub, b_ub, start)
+    _replay_bits(ws, thetas, a_ub, b_ub, None)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 4).flatmap(lambda d: st.tuples(
+    st.integers(2, 4).flatmap(lambda k: _lattice((k, d), -1.0, 1.0)),
+    _lattice(d), st.lists(_lattice(d, -1.0, 1.0), min_size=12, max_size=12))))
+def test_halfspaces_support_matches_highs_property(case):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    normals, inside, thetas = case
+    # offsets through a lattice point of the cube keep the set nonempty
+    s = Halfspaces(normals, normals @ inside + 0.125)
+    ws = {}
+    for theta in thetas:
+        ref = linprog(-theta, A_ub=normals, b_ub=s.offsets, bounds=[(0.0, 1.0)] * len(theta),
+                      method="highs")
+        assert ref.status == 0
+        value, x = s.support_and_point(theta, ws)
+        assert value == pytest.approx(-ref.fun, abs=1e-9)
+        assert theta @ x == pytest.approx(value, abs=1e-9)
+        assert np.all(x >= -1e-12) and np.all(x <= 1.0 + 1e-12)
+        assert np.all(normals @ x <= s.offsets + 1e-9)
+
+
 def test_bland_iteration_cap_raises_solver_limit_error():
     tableau = np.array([[1.0, 1.0, 1.0]])
     with pytest.raises(SolverLimitError):
-        _bland_iterate(tableau, [1], np.array([1.0, 0.0, 0.0]), np.ones(2, dtype=bool),
-                       max_iter=0)
+        _bland_iterate(tableau, [1], np.array([1.0, 0.0, 0.0]), max_iter=0)
 
 
 def test_lp_unbounded_detection():
