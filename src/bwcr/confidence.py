@@ -109,12 +109,6 @@ class ConfidenceState:
         return self._lcb, self._ucb
 
 
-def hypercube(state: ConfidenceState) -> Hypercube:
-    """UCB/LCB interval matrix from the current counts and sums."""
-    lcb, ucb = state.bounds()
-    return Hypercube.unchecked(lcb.copy(), ucb.copy())
-
-
 def vertex(hc: Hypercube, theta: np.ndarray) -> np.ndarray:
     """Corner of the hypercube minimizing theta . (column) for every column.
 

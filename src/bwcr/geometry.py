@@ -45,13 +45,6 @@ class NormPair:
     def dual_norm(self, v: np.ndarray) -> float:
         return _vector_norm(v, self.dual)
 
-    def ones_norm(self, d: int) -> float:
-        if self.primal == "l2":
-            return math.sqrt(d)
-        if self.primal == "linf":
-            return 1.0
-        return float(d)
-
 
 def _vector_norm(v: np.ndarray, kind: str) -> float:
     v = np.asarray(v, dtype=float)

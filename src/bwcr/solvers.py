@@ -5,7 +5,8 @@ Three pieces live here:
 * :func:`solve_lp` - the budgeted simplex LP  max r.p  s.t.  C p <= beta 1,
   p in the simplex (the knapsack step), on top of the dense tableau solver.
   LPs with one constraint row certify a warm basis in scalar floats first
-  (:func:`_certify_pair`), as does the linear step below with one halfspace.
+  (:func:`_certify_pair`).  The linear step below over one unclipped
+  halfspace is this LP too, and is solved by it.
 * :func:`solve_ucb_step` - the optimistic step: maximize
   psi(p) = max over confidence region of f(V~ p)  subject to the region
   touching the target set.  Every region is an interval region (a
@@ -81,7 +82,9 @@ class LpProblem:
                   eps: float = 0.0) -> "LpProblem":
         """Wrap a float reward vector and a 2-D float consumption matrix
         without validation (hot paths; the caller guarantees the invariants,
-        e.g. bounds maintained by ConfidenceState and scalars checked once)."""
+        e.g. bounds maintained by ConfidenceState and scalars checked once).
+        The solver needs no sign: the linear one-halfspace step passes its
+        reduced rows and offset, of either sign."""
         problem = object.__new__(cls)
         object.__setattr__(problem, "rewards", rewards)
         object.__setattr__(problem, "consumption", consumption)
@@ -98,17 +101,15 @@ class LpStepResult:
     basis: Optional[list] = None
 
 
-def _certify_pair(r: list, a: list, cap: float, u: int, v: int, zero_rows=()):
+def _certify_pair(r: list, a: list, cap: float, u: int, v: int):
     """Scalar warm certify of  max r.p  s.t.  a.p <= cap, p in the simplex.
 
     ``u`` and ``v`` are the previous basis's two columns: arms (< len(r)) or
     len(r), the constraint's slack.  The dense solver's own tests are applied
     to that basis, solved as a 2x2 system in floats: B nonsingular, every
-    x_B >= -_FEAS_TOL, every reduced cost <= _TOL.  A row w of ``zero_rows``
-    adds a basic variable -w.p, which must be >= -_FEAS_TOL too.  Returns
-    (p, value) with p = max(x_B, 0) normalized, or None when a test fails or
-    the columns are no basis of this LP (the caller then runs the dense
-    solver).
+    x_B >= -_FEAS_TOL, every reduced cost <= _TOL.  Returns (p, value) with
+    p = max(x_B, 0) normalized, or None when a test fails or the columns are
+    no basis of this LP (the caller then runs the dense solver).
     """
     slack = len(r)
     if u == slack:
@@ -128,9 +129,6 @@ def _certify_pair(r: list, a: list, cap: float, u: int, v: int, zero_rows=()):
         ye = ru - yh * au
     if xu < -_FEAS_TOL or xv < -_FEAS_TOL or -yh > _TOL:
         return None
-    for w in zero_rows:
-        if w[u] * xu + (w[v] * xv if v < slack else 0.0) > _FEAS_TOL:
-            return None
     for rj, aj in zip(r, a):
         if rj - (yh * aj + ye) > _TOL:
             return None
@@ -143,12 +141,6 @@ def _certify_pair(r: list, a: list, cap: float, u: int, v: int, zero_rows=()):
     total = xu + xv
     p[u], p[v] = xu / total, xv / total
     return p, ru * xu + r[v] * xv
-
-
-def _count_scalar(ws: dict):
-    """Count a scalar certify as a solve, a certified solve and a scalar one."""
-    for key in ("lp_solves", "lp_certified", "lp_scalar"):
-        ws[key] = ws.get(key, 0) + 1
 
 
 def solve_lp(problem: LpProblem, warm_basis: Optional[list] = None,
@@ -171,7 +163,8 @@ def solve_lp(problem: LpProblem, warm_basis: Optional[list] = None,
         certified = _certify_pair(problem.rewards.tolist(), problem.consumption[0].tolist(),
                                   beta, *warm_basis)
         if certified is not None:
-            _count_scalar(ws)
+            for key in ("lp_solves", "lp_certified", "lp_scalar"):
+                ws[key] = ws.get(key, 0) + 1
             return LpStepResult(status="optimal", policy=PolicyDistribution.unchecked(
                 certified[0]), value=certified[1], basis=warm_basis)
     res = solve_dense_lp(problem.rewards, a_ub=problem.consumption, b_ub=ws["b_ub"],
@@ -207,16 +200,29 @@ class StepResult:
 def _step_skeleton(d: int, m: int, f: Objective, s: Optional[ConvexSet]) -> dict:
     """The parts of the interval-region step LP that stay fixed between steps.
 
-    Columns are (p, z_r[, witness][, t+, t-]).  Rows 0..2d keep the reward
-    witness z_r in the achievable box [L p, U p]; the rest say that the box
-    touches S: per-coordinate overlap for a box; for one halfspace, the
-    sign-matched box corner (plus L p <= upper where clipped), exact when the
-    clip is trivial or the normal sign-definite; otherwise an explicit
-    witness in the box and in S, P^T lam with lam in the simplex for a vertex
-    list.  A linear f is the cost on z_r; any other f gets the hypograph
-    column t = t+ - t- (split, as the LP keeps variables nonnegative).
+    A linear f = c.z over one halfspace {a.z <= b} with the trivial clip is
+    the one-row LP  max r.p  s.t.  g.p <= b  over the simplex, with
+    r = c+ U + c- L and g = a+ L + a- U: for fixed p the best z_j is U_j p
+    when c_j > 0 and L_j p otherwise, and the box [L p, U p] meets the
+    halfspace iff its a-minimizing corner does.  Its skeleton is the weight
+    rows that make (r, g) from (U, L), and b.
+
+    Otherwise the columns are (p, z_r[, witness][, t+, t-]).  Rows 0..2d
+    keep the reward witness z_r in the achievable box [L p, U p]; the rest
+    say that the box touches S: per-coordinate overlap for a box; for one
+    halfspace, the sign-matched box corner (plus L p <= upper where clipped),
+    exact when the clip is trivial or the normal sign-definite; otherwise an
+    explicit witness in the box and in S, P^T lam with lam in the simplex for
+    a vertex list.  A linear f is the cost on z_r; any other f gets the
+    hypograph column t = t+ - t- (split, as the LP keeps variables
+    nonnegative).
     """
     linear = isinstance(f, LinearObjective)
+    if linear and isinstance(s, Halfspaces) and s.k == 1 and np.all(s.upper >= 1.0):
+        c, a = f.c, s.normals[0]
+        return {"linear": True, "one_row_cap": float(s.offsets[0]),
+                "w_ucb": np.vstack([np.maximum(c, 0.0), np.minimum(a, 0.0)]),
+                "w_lcb": np.vstack([np.minimum(c, 0.0), np.maximum(a, 0.0)])}
     explicit = isinstance(s, Halfspaces) and not (
         s.k == 1 and (np.all(s.upper >= 1.0 - 1e-12) or np.all(s.normals[0] >= 0.0)))
     n_wit = d if explicit else s.points.shape[0] if isinstance(s, VPolytope) else 0
@@ -237,9 +243,6 @@ def _step_skeleton(d: int, m: int, f: Objective, s: Optional[ConvexSet]) -> dict
         rhs.extend([s.offsets[:1], s.upper[clipped]])
         ws.update(clipped=clipped, a_pos=np.maximum(s.normals[0], 0.0),
                   a_neg=np.minimum(s.normals[0], 0.0))
-        if linear and clipped.size == 0:
-            # the one-constraint form that _certify_step reduces to 2x2
-            ws.update(one_row_cap=float(s.offsets[0]), one_row_shape=(None, None))
     elif explicit:
         rhs.extend([np.zeros(2 * d), np.concatenate([s.offsets, s.upper])])
     elif isinstance(s, VPolytope):
@@ -282,67 +285,6 @@ def _fill_intervals(ws: dict, hc: Hypercube) -> np.ndarray:
     return a_ub
 
 
-def _one_row_shape(basis: list, c: np.ndarray, ws: dict, m: int, d: int):
-    """Reduce a basis of the one-halfspace linear step LP to its 2x2 core.
-
-    Rows j and d + j (L_j p <= z_j <= U_j p) touch only z_j and their two
-    slacks, and the halfspace and simplex rows only p and the halfspace
-    slack.  So a basis with two columns of the latter kind (arms, or the
-    halfspace slack) holds two of the three columns of each j:
-
-    * z_j and row j's slack: row d + j is tight, z_j = U_j p, priced -c_j;
-    * z_j and row d + j's slack: z_j = L_j p, priced c_j;
-    * both slacks: z_j = 0 is nonbasic, priced c_j, and row j's slack,
-      -L_j p, must stay >= -_FEAS_TOL.
-
-    Eliminating z then leaves  max r.p  s.t.  g.p <= offset  over the
-    simplex, with r = sum_j c_j z_j(p) and g = a+ L + a- U the halfspace row.
-    Returns (u, v, wu, wl), where wu U + wl L stacks r, g and the rows L_j
-    of the nonbasic z_j, or None for any other basis or a price above _TOL.
-    """
-    nz, slack_h = m + d, m + 3 * d
-    if len(basis) != 2 * d + 2 or len(set(basis)) != len(basis):
-        return None
-    pair, held = [], [0] * d        # held[j]: bit 0 z_j, bit 1 row j's slack, bit 2 row d+j's
-    for j in basis:
-        if 0 <= j < m or j == slack_h:
-            pair.append(min(j, m))      # the halfspace slack is column m of the 2x2
-        elif m <= j < nz:
-            held[j - m] |= 1
-        elif nz <= j < slack_h:
-            held[(j - nz) % d] |= 2 << ((j - nz) // d)
-        else:
-            return None
-    # 2d + 2 distinct columns, two of them in the pair: two per j unless
-    # some j holds three and another one
-    if len(pair) != 2 or any(h not in (3, 5, 6) for h in held):
-        return None
-    held = np.array(held)
-    if np.any(np.where(held == 3, -c, c) > _TOL):
-        return None
-    free = np.flatnonzero(held == 6)
-    wu = np.vstack([np.where(held == 3, c, 0.0), ws["a_neg"], np.zeros((free.size, d))])
-    wl = np.vstack([np.where(held == 5, c, 0.0), ws["a_pos"], np.eye(d)[free]])
-    return pair[0], pair[1], wu, wl
-
-
-def _certify_step(ws: dict, hc: Hypercube, c: np.ndarray, basis: list):
-    """Scalar warm certify of the linear step LP with one unclipped halfspace:
-    (p, value) as from :func:`_certify_pair` on the reduction of
-    :func:`_one_row_shape`, or None.  The reduction of the last basis seen is
-    kept in ``ws``, as a certified step hands its basis on unchanged."""
-    key, shape = ws["one_row_shape"]
-    if basis != key:
-        d, m = hc.lcb.shape
-        shape = _one_row_shape(basis, c, ws, m, d)
-        ws["one_row_shape"] = (list(basis), shape)
-    if shape is None:
-        return None
-    u, v, wu, wl = shape
-    rows = (wu @ hc.ucb + wl @ hc.lcb).tolist()
-    return _certify_pair(rows[0], rows[1], ws["one_row_cap"], u, v, rows[2:])
-
-
 def _simplex_point(x: np.ndarray) -> np.ndarray:
     p = np.maximum(x, 0.0)
     return p / p.sum()
@@ -359,10 +301,10 @@ def solve_ucb_step(hc: Hypercube, f: Objective, s: Optional[ConvexSet] = None, *
     concave program max f(z_r) over the polytope of :func:`_step_skeleton`,
     which ``workspace`` caches between calls with the same f and S.  A
     linear f makes it one LP, warm-started from ``warm``'s basis; the
-    workspace keeps that LP's standard form and basis inverse (see
+    workspace keeps that LP's standard form and cached tableaux (see
     :mod:`bwcr.lp`), and counts the LP solves of every round.  With one
-    unclipped halfspace the warm basis is first certified in scalar floats
-    (:func:`_certify_step`); only a basis that fails goes to the dense LP.
+    unclipped halfspace that LP is the one-row LP of :func:`solve_lp`, which
+    certifies the warm basis in scalar floats before any dense solve.
     Any other f is solved by Kelley's cutting planes: each round adds the cut
     t <= f(y) + g(y) . (z_r - y) at the previous LP's z_r and stops once the
     LP bound exceeds the best f(z_r) found by at most GAP_TOL.  Rounds are
@@ -371,29 +313,29 @@ def solve_ucb_step(hc: Hypercube, f: Objective, s: Optional[ConvexSet] = None, *
     """
     d, m = hc.lcb.shape
     ws = workspace if workspace is not None else {}
-    if "a_ub" not in ws:
+    if "linear" not in ws:
         ws.update(_step_skeleton(d, m, f, s))
     if ws["linear"]:
         basis = warm.basis if warm is not None else None
-        certified = None
-        if basis is not None and "one_row_cap" in ws:
-            certified = _certify_step(ws, hc, f.c, basis)
-        if certified is not None:
-            _count_scalar(ws)
-            policy = PolicyDistribution.unchecked(certified[0])
+        if "one_row_cap" in ws:
+            rows = ws["w_ucb"] @ hc.ucb + ws["w_lcb"] @ hc.lcb      # r and g
+            res = solve_lp(LpProblem.unchecked(rows[0], rows[1:], ws["one_row_cap"]),
+                           warm_basis=basis, workspace=ws)
+            policy = res.policy
         else:
             res = solve_dense_lp(ws["cost"], a_ub=_fill_intervals(ws, hc),
                                  b_ub=ws["b_ub"], a_eq=ws["a_eq"], b_eq=ws["b_eq"],
                                  basis=basis, workspace=ws)
-            if res.status != "optimal":
-                return StepResult(feasible=False, policy=None, objective=math.nan, x=None,
-                                  rounds=1)
-            policy, basis = PolicyDistribution(_simplex_point(res.x[:m])), res.basis
+            policy = (PolicyDistribution(_simplex_point(res.x[:m]))
+                      if res.status == "optimal" else None)
+        if policy is None:
+            return StepResult(feasible=False, policy=None, objective=math.nan, x=None,
+                              rounds=1)
         # report the unconstrained-witness objective psi(p) = max over the box
         p = policy.weights
         z_r = np.where(f.c >= 0.0, hc.ucb @ p, hc.lcb @ p)
         return StepResult(feasible=True, policy=policy, objective=float(f.c @ z_r),
-                          x=z_r, gap=0.0, rounds=1, basis=basis)
+                          x=z_r, gap=0.0, rounds=1, basis=res.basis)
     a_ub = _fill_intervals(ws, hc)
 
     # a coordinate whose upper bounds are all 0 is 0 on the whole feasible

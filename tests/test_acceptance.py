@@ -281,7 +281,7 @@ def test_criterion_04_saddle_solver_vs_grid():
         if grid_feasible:
             worst = max(worst, abs(res.objective - float(psis[feas].max())))
     elapsed = time.time() - started
-    _report(4, "saddle step solver vs simplex grid",
+    _report(4, "interval step vs simplex grid",
             verdict_mismatch == 0 and worst <= 1e-2 and elapsed < 120,
             f"{n_instances} instances, verdict mismatches {verdict_mismatch}, "
             f"max objective gap {worst:.2e}", elapsed)

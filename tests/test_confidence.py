@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from bwcr.confidence import (ConfidenceState, EllipsoidState, Hypercube, default_crad,
-                             ellipsoid_max_linear, ellipsoid_min_linear, hypercube, rad, vertex)
+                             ellipsoid_max_linear, ellipsoid_min_linear, rad, vertex)
 from bwcr.core import InstanceModel, sample_observation, substream
 
 
@@ -29,11 +29,11 @@ def test_rad_contract_errors():
 
 def test_hypercube_unplayed_arms():
     state = ConfidenceState(d=2, m=3, crad=0.75)
-    hc = hypercube(state)
+    hc = Hypercube(*state.bounds())
     assert np.all(hc.lcb == 0.0)
     assert np.all(hc.ucb == 1.0)          # min(1, 2*crad) with crad >= 0.5
     state2 = ConfidenceState(d=1, m=1, crad=0.3)
-    assert hypercube(state2).ucb[0, 0] == pytest.approx(0.6)
+    assert Hypercube(*state2.bounds()).ucb[0, 0] == pytest.approx(0.6)
 
 
 def test_hypercube_plugin_example():
@@ -42,7 +42,7 @@ def test_hypercube_plugin_example():
     state = ConfidenceState(d=1, m=1, crad=1.0)
     for k in range(99):
         state.update(0, np.array([1.0 if k < 50 else 0.0]))
-    hc = hypercube(state)
+    hc = Hypercube(*state.bounds())
     assert hc.ucb[0, 0] == pytest.approx(0.6614213562373095, abs=1e-12)
     assert hc.lcb[0, 0] == pytest.approx(0.3385786437626905, abs=1e-12)
 
@@ -64,7 +64,7 @@ def test_hypercube_coverage_monte_carlo():
         for _ in range(horizon):
             arm = int(rng_a.integers(m))
             state.update(arm, sample_observation(inst, arm, rng_o))
-            hc = hypercube(state)
+            hc = Hypercube(*state.bounds())
             if np.any(v < hc.lcb - 1e-12) or np.any(v > hc.ucb + 1e-12):
                 ok = False
                 break
@@ -107,7 +107,7 @@ def test_interval_width_bound():
     rng = substream(9)
     for n in range(1, 200):
         state.update(0, rng.random(1))
-        hc = hypercube(state)
+        hc = Hypercube(*state.bounds())
         assert hc.ucb[0, 0] - hc.lcb[0, 0] <= 4.0 * rad(1.0, n + 1, 2.0) + 1e-12
 
 
@@ -126,7 +126,7 @@ def test_estimated_vs_actual_growth():
         total = np.zeros(d)
         at_1k = None
         for t in range(1, 4001):
-            hc = hypercube(state)
+            hc = Hypercube(*state.bounds())
             arm = int(rng_a.integers(m))
             obs = sample_observation(inst, arm, rng_o)
             total += hc.ucb @ p - obs

@@ -15,9 +15,6 @@ def test_norm_pair_duals_and_ones():
     assert NormPair("l2").dual == "l2"
     assert NormPair("linf").dual == "l1"
     assert NormPair("l1").dual == "linf"
-    assert NormPair("l2").ones_norm(9) == 3.0
-    assert NormPair("linf").ones_norm(9) == 1.0
-    assert NormPair("l1").ones_norm(9) == 9.0
     with pytest.raises(ValueError):
         NormPair("l3")
 

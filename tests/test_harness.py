@@ -588,14 +588,14 @@ _RECORDED_TRACE_SHA256 = {
         "52ae84cef8a637f37b9f33c3ef7fb0a9a4379714b91c7f4372de9c9af31ef06e",
         "5745c7598ce9213f597bde67081f1a1e34400a8e2028ac176f70f52565265ed5"),
     "ucb_bwcr_mixed_sign": (
-        "62357010722953f532f5d4ad7ff8e98c75df5706d2597c4715960ac66ae1bbff",
-        "b913106c1920ae870b76815235545feed89c53643a4d79a050b4a91698befbcd"),
+        "87f50899313533f3f82fcf2b4bff92e5733ae2138349cfd90053966f2f9105db",
+        "3f1c68b88e4d56740a2bf3fbe06ba3f916e9590797a0385fcb806073aee6da4d"),
     "ucb_bwk_mixed_gamma": (
         "509a27aacadbafe90f9ffff5c3c4ca5bfc6cf4c70d8717514184eab7275bda35",
         "0657ad8d2d4adc5d01f6a7a3f8cff05c4f8357bdf30b86d4240e11ffe9ab6ed9"),
     "ucb_bwcr_mixed_sign_gamma": (
-        "3212abe933e05d9e700764d0f84ef2f5a10281078baf7628a313935c4aaf4c4e",
-        "40aa0558232a927b7c5a39378fa4335b7b3181beecdc722046b1388bf8d2b903"),
+        "d74133d6e5e567a94fc0c7ed742e4cb3b715e6fff1f7122cb1fe455912239b0d",
+        "f71e7fa71aecf608c8d7015d0204554c1bea9ab1eb4a1bb38a789d7e3332d664"),
     "ucb_bwcr_contextual": (
         "1c1dcf376bd4efcdb2289be323d764990f1e3a6e2289fbf1c65a9dc55279be3d",
         "dfc003209b9fb8ff5478e5b55dd70e45d1381bd46aacf0b76f08fca30c76c1a7"),

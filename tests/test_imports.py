@@ -1,4 +1,5 @@
-"""Static hygiene of the package sources: every import is used."""
+"""Static hygiene of the package sources: every import is used, and every
+private helper is read somewhere in the package."""
 import ast
 from pathlib import Path
 
@@ -35,3 +36,36 @@ def test_detector_flags_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _orphaned_private_defs(sources: dict) -> list:
+    """Private functions, methods and classes (a ``_`` prefix, dunders
+    excepted) defined in ``sources`` (file name -> text) that no expression in
+    any of them reads, as a bare name or as an attribute."""
+    defined, read = [], set()
+    for fname, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.append((node.name, fname, node.lineno))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(f"{name} ({fname}, line {line})" for name, fname, line in defined
+                  if name not in read)
+
+
+def test_detector_flags_an_unused_private_helper():
+    sources = {"a.py": "def _used():\n    pass\ndef _orphan():\n    pass\n"
+                       "class _Box:\n    def __init__(self):\n        pass\n"
+                       "    def _peek(self):\n        pass\n"
+                       "_orphan = _used()\n",
+               "b.py": "def f(box):\n    return box._peek\n"}
+    assert _orphaned_private_defs(sources) == ["_Box (a.py, line 5)",
+                                               "_orphan (a.py, line 3)"]
+
+
+def test_no_orphaned_private_helpers():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert _orphaned_private_defs(sources) == []

@@ -13,9 +13,8 @@ from bwcr.errors import ConfigError, SolverLimitError
 from bwcr.geometry import Box, Halfspaces, VPolytope
 from bwcr.lp import _bland_iterate, solve_dense_lp
 from bwcr.objective import LinearObjective, NegativeDistance, SeparableObjective
-from bwcr.solvers import (GAP_TOL, LpProblem, _fill_intervals, _step_skeleton,
-                          degenerate_region, entropic_step, make_oco, ogd_step, solve_lp,
-                          solve_ucb_step)
+from bwcr.solvers import (GAP_TOL, LpProblem, _certify_pair, degenerate_region,
+                          entropic_step, make_oco, ogd_step, solve_lp, solve_ucb_step)
 
 
 def lp_vertex_oracle(r, c, beta):
@@ -703,7 +702,7 @@ def _one_halfspace_steps(draw):
     """A linear step over one unclipped halfspace, f with mixed signs and one
     zero coefficient, and two interval regions: the second step starts from
     the basis of the first, solved for f or for another linear objective
-    (whose basis may hold z_j at the bound f's sign does not want)."""
+    (whose basis the second step may then have to leave)."""
     d = draw(st.integers(1, 3))
     m = draw(st.integers(1, 4))
     den = draw(st.sampled_from([8, 1000]))
@@ -726,31 +725,54 @@ def _one_halfspace_steps(draw):
     return regions, LinearObjective(first_c), LinearObjective(c), s
 
 
+def _highs_one_halfspace_step(hc, c, s):
+    """The step with nothing eliminated, by HiGHS: maximize c.z over (p, z, w)
+    with p in the simplex, the reward witness z and a witness w of the
+    halfspace both in the box [L p, U p], and a.w <= b.  Returns the optimal
+    value, or None when infeasible."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    d, m = hc.lcb.shape
+    eye, zero = np.eye(d), np.zeros((d, d))
+    a_ub = np.vstack([np.hstack([hc.lcb, -eye, zero]), np.hstack([-hc.ucb, eye, zero]),
+                      np.hstack([hc.lcb, zero, -eye]), np.hstack([-hc.ucb, zero, eye]),
+                      np.concatenate([np.zeros(m + d), s.normals[0]])[None, :]])
+    b_ub = np.concatenate([np.zeros(4 * d), s.offsets])
+    a_eq = np.concatenate([np.ones(m), np.zeros(2 * d)])[None, :]
+    ref = linprog(np.concatenate([np.zeros(m), -c, np.zeros(d)]), A_ub=a_ub, b_ub=b_ub,
+                  A_eq=a_eq, b_eq=[1.0], bounds=[(0.0, None)] * (m + 2 * d), method="highs")
+    assert ref.status in (0, 2), ref.message
+    return -ref.fun if ref.status == 0 else None
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_one_halfspace_steps())
-def test_scalar_certify_matches_dense_step(case):
+def test_one_halfspace_step_is_the_one_row_lp(case):
+    """A linear step over one unclipped halfspace is  max r.p  s.t.  g.p <= b
+    over the simplex, r = c+ U + c- L, g = a+ L + a- U: its verdict and value
+    are the unreduced program's, and a warm step is solve_lp on (r, g, b)."""
     (first_hc, second_hc), first_f, f, s = case
     assume(s is not None)
-    d, m = first_hc.lcb.shape
     first = solve_ucb_step(first_hc, first_f, s)
-    assume(first.feasible)
-    skeleton = _step_skeleton(d, m, f, s)
-    assert "one_row_cap" in skeleton
-    certified, ref, p = _dense_verdict(
-        skeleton["cost"], _fill_intervals(skeleton, second_hc), skeleton["b_ub"],
-        skeleton["a_eq"], skeleton["b_eq"], first.basis, m)
     ws = {}
     got = solve_ucb_step(second_hc, f, s, warm=first, workspace=ws)
-    # the scalar path takes the bases with two columns among the arms and the
-    # halfspace slack (column m + 3d); a certified basis with more has a
-    # larger core and is left to the dense solver
-    core = sum(j < m or j == m + 3 * d for j in first.basis)
-    assert ws.get("lp_scalar", 0) == int(certified and core == 2)
+    for hc, obj, res in ((first_hc, first_f, first), (second_hc, f, got)):
+        ref = _highs_one_halfspace_step(hc, obj.c, s)
+        assert res.feasible == (ref is not None)
+        if res.feasible:
+            assert res.objective == pytest.approx(ref, rel=0.0, abs=1e-9)
+    assume(first.feasible)
+    # (r, g) stacked in one product, which rounds as the step's does
+    c, a, b = f.c, s.normals[0], float(s.offsets[0])
+    r, g = (np.vstack([np.maximum(c, 0.0), np.minimum(a, 0.0)]) @ second_hc.ucb
+            + np.vstack([np.minimum(c, 0.0), np.maximum(a, 0.0)]) @ second_hc.lcb)
+    ref = solve_lp(LpProblem.unchecked(r, g[None, :], b), warm_basis=first.basis)
+    accepted = _certify_pair(r.tolist(), g.tolist(), b, *first.basis) is not None
+    assert ws.get("lp_scalar", 0) == int(accepted)
     assert got.feasible == (ref.status == "optimal")
     if got.feasible:
         assert got.basis == ref.basis
-        assert np.allclose(got.policy.weights, p, rtol=0.0, atol=1e-12)
-    if certified:
+        assert np.array_equal(got.policy.weights, ref.policy.weights)
+    if accepted:
         assert got.basis == first.basis
 
 
