@@ -5,6 +5,13 @@ support point (an argmax), Euclidean projection, distance, membership, and
 (1-eps)-shrinkage for downward-closed sets.  All sets live inside the unit
 box [0, 1]^d (shrunken sets inside a scaled copy of it).
 
+Projections: a box clips; a halfspace intersection with k >= 2 rows is
+projected exactly by a dual active-set method (Goldfarb & Idnani 1983),
+whose active rows and nonnegative multipliers certify each point, and a
+batch of points reuses one point's active rows wherever that certificate
+holds; one halfspace runs Dykstra's alternating projections, and a vertex
+list Frank-Wolfe with away steps.
+
 The smoothed distance is the strongly-regularized dual construction
     d_sigma(z) = max_{|theta| <= 1} theta . z - h_S(theta) - (sigma/2)|theta|^2,
 which for the Euclidean norm collapses to a Huber function of the plain
@@ -19,10 +26,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import UnsupportedError
+from .errors import SolverLimitError, UnsupportedError
 from .lp import solve_dense_lp
 
 _DUAL = {"l2": "l2", "linf": "l1", "l1": "linf"}
+_QP_TOL = 1e-12       # feasibility tolerance of a certified projection
+_QP_MAX_STEPS = 50    # active-set steps per constraint row before raising
 
 
 @dataclass(frozen=True)
@@ -167,6 +176,12 @@ class Box(ConvexSet):
 class Halfspaces(ConvexSet):
     """Intersection of halfspaces with the box [0, upper]:
     {x : 0 <= x <= upper, normals @ x <= offsets}.
+
+    With k >= 2 rows the projection solves min |y - x|^2 / 2 over the rows
+    C y <= e, C = [normals; I; -I] and e = [offsets; upper; 0], by
+    :meth:`_active_set` and returns y = x - C_A^T lam with lam >= 0, the active
+    rows A tight and every row within _QP_TOL: the KKT conditions, which
+    certify the unique projection.
     """
 
     def __init__(self, normals, offsets, upper=None):
@@ -185,6 +200,10 @@ class Halfspaces(ConvexSet):
             np.zeros(self.dim), a_ub=self._lp_rows, b_ub=self._lp_rhs,
         ).status != "optimal":
             raise ValueError("empty halfspace intersection")
+        if self.k != 1:
+            # the projection's rows C y <= e: the halfspaces and both box sides
+            self._qp_rows = np.vstack([self._lp_rows, -np.eye(self.dim)])
+            self._qp_rhs = np.concatenate([self._lp_rhs, np.zeros(self.dim)])
 
     @property
     def k(self) -> int:
@@ -252,32 +271,93 @@ class Halfspaces(ConvexSet):
         x = np.array(xs)
         return float(theta.dot(x)), x
 
-    def _project_halfspace(self, x, a, b):
-        viol = float(a @ x) - b
-        if viol <= 0.0:
-            return x
-        return x - (viol / float(a @ a)) * a
-
     def project(self, x):
         x = np.asarray(x, dtype=float)
+        if self.k != 1:
+            return self._project_many(x[None])[0]
         if self.contains(x):
             return x.copy()
-        # Dykstra's alternating projections over the box and each halfspace
-        sets = self.k + 1
+        # Dykstra's alternating projections over the box and the halfspace
+        a, b = self.normals[0], self.offsets[0]
         y = x.copy()
-        corrections = np.zeros((sets, self.dim))
+        corrections = np.zeros((2, self.dim))
         for _ in range(5000):
             y_prev = y.copy()
-            for s in range(sets):
-                z = y + corrections[s]
-                if s == 0:
-                    y = np.clip(z, 0.0, self.upper)
-                else:
-                    y = self._project_halfspace(z, self.normals[s - 1], self.offsets[s - 1])
-                corrections[s] = z - y
+            z = y + corrections[0]
+            y = np.clip(z, 0.0, self.upper)
+            corrections[0] = z - y
+            z = y + corrections[1]
+            viol = float(a @ z) - b
+            y = z if viol <= 0.0 else z - (viol / float(a @ a)) * a
+            corrections[1] = z - y
             if np.max(np.abs(y - y_prev)) < 1e-13:
                 break
         return y
+
+    def _project_many(self, xs):
+        """Projections of the rows of ``xs`` (k != 1).  Rows within 1e-9 of
+        every constraint (what :meth:`contains` accepts) come back as they
+        are.  The first other row is solved by :meth:`_active_set`; its active
+        rows G then give each remaining row x the point y = x - G^T lam with
+        lam = (G G^T)^-1 (G x - e_G), which makes them tight.  Where lam >= 0
+        and C y <= e + _QP_TOL, y meets the KKT conditions, and the projection
+        is unique, so y is it; the other rows go round again."""
+        c, e = self._qp_rows, self._qp_rhs
+        ys = xs.copy()
+        todo = np.flatnonzero((xs @ c.T > e + 1e-9).any(axis=1))
+        while todo.size:
+            active, _, ys[todo[0]] = self._active_set(xs[todo[0]])
+            todo = todo[1:]
+            rest, g = xs[todo], c[active]
+            lam = np.linalg.solve(g @ g.T, g @ rest.T - e[active, None])
+            y = rest - lam.T @ g
+            ok = (lam >= 0.0).all(axis=0) & (y @ c.T <= e + _QP_TOL).all(axis=1)
+            ys[todo[ok]] = y[ok]
+            todo = todo[~ok]
+        return ys
+
+    def _active_set(self, x):
+        """Goldfarb & Idnani's (1983) dual active-set method for
+        min |y - x|^2 / 2 s.t. C y <= e, started at y = x with no active row.
+        It adds the most violated row p, raising its multiplier until p is
+        tight; if an active multiplier would turn negative first, it stops at
+        that zero and drops the row.  Returns (active rows, multipliers
+        lam >= 0, y = x - C[active]^T lam).  The dual objective rises at
+        every step, so the method is finite; past its step limit it raises."""
+        c, e = self._qp_rows, self._qp_rhs
+        limit = _QP_MAX_STEPS * c.shape[0]
+        y, active, lam, p = x.copy(), [], np.zeros(0), None
+        for _ in range(limit):
+            if p is None:
+                viol = c @ y - e
+                p = int(np.argmax(viol))
+                if viol[p] <= _QP_TOL:
+                    return active, lam, y
+                lam_p = 0.0
+            # raising lam_p by t moves y by -t z and the active multipliers by -t r
+            g = c[active]
+            r = np.linalg.solve(g @ g.T, g @ c[p])
+            z = c[p] - r @ g
+            zz = float(z @ z)
+            # the full step makes p tight; z = 0 when c_p lies in the active rows' span
+            t = (float(c[p] @ y) - e[p]) / zz if zz > 1e-16 * float(c[p] @ c[p]) else math.inf
+            j = -1
+            for i in np.flatnonzero(r > 0.0):
+                if lam[i] / r[i] < t:
+                    t, j = lam[i] / r[i], i
+            if t == math.inf:
+                raise ValueError("empty halfspace intersection")
+            y = y - t * z
+            lam = np.maximum(lam - t * r, 0.0)
+            lam_p += t
+            if j < 0:
+                active.append(p)
+                lam = np.append(lam, lam_p)
+                p = None
+            else:
+                del active[j]
+                lam = np.delete(lam, j)
+        raise SolverLimitError(f"projection active-set limit ({limit} steps) exceeded")
 
     def contains(self, x, tol=1e-9):
         x = np.asarray(x, dtype=float)
@@ -288,10 +368,11 @@ class Halfspaces(ConvexSet):
     def distance_many(self, xs, norm=L2):
         if norm.primal != "l2":
             raise UnsupportedError("Halfspaces distance supports l2 only")
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
         if self.k != 1:
-            return super().distance_many(xs, norm)
+            return np.linalg.norm(xs - self._project_many(xs), axis=1)
         # single halfspace + box: batched Dykstra over two sets
-        return self._batch_dykstra(np.atleast_2d(np.asarray(xs, dtype=float)))
+        return self._batch_dykstra(xs)
 
     def _batch_dykstra(self, xs):
         # feasibility masks and regret traces need ~1e-8 accuracy, not 1e-12;

@@ -229,7 +229,7 @@ def _simplex_grid_m3(step=0.01):
     return np.asarray(pts)
 
 
-def test_criterion_04_saddle_solver_vs_grid():
+def test_criterion_04_interval_step_vs_grid():
     started = time.time()
     grid = _simplex_grid_m3(0.01)
     rng = np.random.default_rng(44)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bwcr.errors import UnsupportedError
+from bwcr import geometry
+from bwcr.errors import SolverLimitError, UnsupportedError
 from bwcr.geometry import (Box, Halfspaces, NormPair, VPolytope, project_l2_ball, set_from_json,
                            smoothed_distance)
 
@@ -302,3 +303,84 @@ def test_project_l2_ball_matches_linalg_norm():
         nrm = np.linalg.norm(v)
         expected = v if (nrm <= radius or not math.isfinite(radius)) else v * (radius / nrm)
         assert np.array_equal(project_l2_ball(v, radius), expected)
+
+
+def test_two_halfspace_projection_where_dykstra_stalled():
+    # Dykstra's method stops here, where its iterate stalls, at
+    # (-0.012127, 0.121670): outside the box, at distance 0.8000302.  The
+    # projection is the vertex where the second halfspace meets x_1 = 0.
+    s = Halfspaces([[0.45, 1.23], [0.84, 1.07]], [0.19, 0.12])
+    x = np.array([0.04, 0.92])
+    y = s.project(x)
+    assert y[0] == 0.0 and y[1] == pytest.approx(0.12 / 1.07, abs=1e-16)
+    assert s.contains(y, tol=1e-12)
+    assert s.distance(x) == pytest.approx(0.8088401433535668, abs=1e-15)
+    assert s.distance_many(x[None])[0] == pytest.approx(0.8088401433535668, abs=1e-15)
+
+
+def _random_polytopes(rng, count):
+    """Seeded packing {a x <= b, a >= 0} and covering {-a x <= -b} targets
+    inside [0, 1]^d with k in 2..6 halfspaces and d in 2..6."""
+    for n in range(count):
+        k, d = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+        a = rng.random((k, d)) * (rng.random((k, d)) < 0.8)
+        a[np.arange(k), rng.integers(0, d, k)] += 0.1     # no zero row
+        b = a.sum(axis=1) * rng.uniform(0.2, 0.8, k)
+        yield Halfspaces(a, b) if n % 2 else Halfspaces(-a, -b)
+
+
+def _sample_points(rng, d):
+    """Uniform points in [0, 1]^d, then the running averages of 0/1
+    observations with fixed means, which settle onto one face."""
+    obs = (rng.random((120, d)) < rng.random(d)).astype(float)
+    return np.vstack([rng.random((40, d)),
+                      np.cumsum(obs, axis=0) / np.arange(1, 121)[:, None]])
+
+
+def test_multi_halfspace_projection_kkt_and_batch():
+    rng = np.random.default_rng(2024)
+    outside = 0
+    for s in _random_polytopes(rng, 24):
+        c, e = s._qp_rows, s._qp_rhs
+        xs = _sample_points(rng, s.dim)
+        inside = np.array([s.contains(x) for x in xs])
+        samples = rng.random((400, s.dim))
+        samples = samples[[s.contains(y, tol=0.0) for y in samples]]
+        for x in xs[~inside][::4]:
+            active, lam, y = s._active_set(x)
+            assert np.array_equal(s.project(x), y)
+            assert np.all(c @ y <= e + 1e-12)                               # feasible
+            assert np.all(lam >= 0.0)                                       # dual feasible
+            assert np.allclose(x - lam @ c[active], y, rtol=0.0, atol=1e-12)  # stationary
+            assert np.allclose(c[active] @ y, e[active], rtol=0.0, atol=1e-12)
+            gap = math.dist(x, y)
+            assert all(gap <= math.dist(x, z) + 1e-12 for z in samples)
+        per_row = np.array([s.distance(x) for x in xs])
+        assert np.all(per_row[inside] == 0.0)
+        assert np.allclose(s.distance_many(xs), per_row, rtol=0.0, atol=1e-15)
+        outside += int((~inside).sum())
+    assert outside > 1000
+
+
+def test_multi_halfspace_projection_matches_slsqp():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(77)
+    for s in _random_polytopes(rng, 12):
+        c, e = s._qp_rows, s._qp_rhs
+        xs = _sample_points(rng, s.dim)[::16]
+        for x in xs:
+            y = s.project(x)
+            res = optimize.minimize(
+                lambda z: 0.5 * float((z - x) @ (z - x)), np.clip(x, 0.0, 1.0),
+                jac=lambda z: z - x, method="SLSQP", options={"ftol": 1e-15, "maxiter": 500},
+                constraints=[{"type": "ineq", "fun": lambda z: e - c @ z, "jac": lambda z: -c}])
+            assert res.success
+            assert np.allclose(res.x, y, rtol=0.0, atol=1e-9)
+
+
+def test_multi_halfspace_projection_raises_past_its_step_limit(monkeypatch):
+    s = Halfspaces([[0.45, 1.23], [0.84, 1.07]], [0.19, 0.12])
+    monkeypatch.setattr(geometry, "_QP_MAX_STEPS", 0)
+    with pytest.raises(SolverLimitError):
+        s.project(np.array([0.04, 0.92]))
+    assert s.distance(np.array([0.01, 0.01])) == 0.0

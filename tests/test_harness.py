@@ -506,6 +506,11 @@ def _trace_configs():
                                         "normals": [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]],
                                         "offsets": [0.8, 0.9]}
     configs["combined_two_halfspaces"] = two_halfspaces
+    # fw_bwc projects its running average onto the two-row target: the
+    # multi-halfspace projection inside a decision
+    fw_bwc_two = c7({"variant": "fw_bwc"}, objective=None, target=False)
+    fw_bwc_two["constraint_set"] = two_halfspaces["constraint_set"]
+    configs["fw_bwc_two_halfspaces"] = fw_bwc_two
     for doc in configs.values():
         doc.update(horizon=_TRACE_T, seeds=list(_TRACE_SEEDS))
     return configs
@@ -609,11 +614,14 @@ _RECORDED_TRACE_SHA256 = {
         "2faa325b9892d815a95e870bde2b01b1424d89308b182b50bef3c857990116ba",
         "d07603ce82e2d6b0586acd7391c5ef86bf210755bc8d6d2fa0eb396e5b5d620a"),
     "sensor_dual_oco": (
-        "5284de9e6f596ce3cfd5b5f99142e7ee35aec17f83e8b41393d207413d385e2d",
-        "26cdf91b555b225f5be61540b20e4bf7c8fbf07282619686f7b0d891caa52f8d"),
+        "fd916d43729c2d09ac162c4a61c09db1b5487c2a3f54ae69f19704c9c2334eaf",
+        "be3a1e7c6f11df6d8a14f697d08a31ee1acfec5071a8232614f128977e8531ee"),
     "combined_two_halfspaces": (
-        "56aa179d2e1d0cacce9f3f87c956ca1bf516ff759dba3f3e9fb5e0b916b72c01",
-        "c652bcc4c3aa0ad20321d6f4cb482689bd8f51db920335cf0e9da378257b8f82"),
+        "d2889b55aad5f9147c35c09e2dfb86f01af2cae2f3b37d9f56c74fb7d5f0f7d0",
+        "765fc68aaa6aea71397d945655a3364f75ef14e59de6b6cadfc847e320e02a4e"),
+    "fw_bwc_two_halfspaces": (
+        "f43f82b09145892dc4e3bc6ded23da6b4e7d7d54eb0dce0f64484478fcf1734b",
+        "002789dfe58b61767072e2042b853497553b4f864dc566b34455c79e5d1db9bb"),
 }
 
 

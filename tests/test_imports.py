@@ -1,6 +1,10 @@
-"""Static hygiene of the package sources: every import is used, and every
-private helper is read somewhere in the package."""
+"""Static hygiene of the package sources: every import is used, every
+private helper is read somewhere in the package, and importing the package
+loads no scipy."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,3 +73,13 @@ def test_detector_flags_an_unused_private_helper():
 def test_no_orphaned_private_helpers():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert _orphaned_private_defs(sources) == []
+
+
+def test_package_import_loads_no_scipy():
+    # scipy belongs to the test and bench extras; the package must not load it
+    code = ("import sys, bwcr.harness, bwcr.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True)
+    assert out.stdout.strip() == "[]"
