@@ -161,10 +161,11 @@ class EllipsoidState:
     def hypercube(self, contexts: np.ndarray) -> Hypercube:
         """Per-entry intervals for ``contexts`` shaped (d, m, n): entry (j, i)
         is x_{j,i} . center_j -+ sqrt(radius_sq) ||x_{j,i}||_{B_j^-1}, the exact
-        range of x_{j,i} . w over the j-th ellipsoid (see
-        :func:`ellipsoid_min_linear`), clipped to [0, 1], the range of every
-        mean.  For every p the box [L p, U p] contains the ellipsoids'
-        achievable set of [0, 1]-valued means, by the triangle inequality.
+        range of x_{j,i} . w over the j-th ellipsoid {w : (w - center_j)^T B_j
+        (w - center_j) <= radius_sq} (Cauchy-Schwarz in the B_j^-1 norm),
+        clipped to [0, 1], the range of every mean.  For every p the box
+        [L p, U p] contains the ellipsoids' achievable set of [0, 1]-valued
+        means, by the triangle inequality.
         """
         mid = np.einsum("jin,jn->ji", contexts, self.center)
         quad = np.einsum("jin,jin->ji", contexts @ self.gram_inv, contexts)
@@ -172,19 +173,3 @@ class EllipsoidState:
         return Hypercube.unchecked(np.clip(mid - half, 0.0, 1.0),
                                    np.clip(mid + half, 0.0, 1.0))
 
-
-def ellipsoid_min_linear(es: EllipsoidState, j: int, c: np.ndarray) -> float:
-    """Exact minimum of c . w over the j-th confidence ellipsoid.
-
-    min = c . center - sqrt(radius_sq) * sqrt(c^T B^{-1} c); the maximum is
-    the symmetric expression with +.
-    """
-    c = np.asarray(c, dtype=float)
-    if not np.all(np.isfinite(c)):
-        raise ValueError("c must be finite")
-    quad = float(c @ es.gram_inv[j] @ c)
-    return float(c @ es.center[j]) - math.sqrt(es.radius_sq * max(quad, 0.0))
-
-
-def ellipsoid_max_linear(es: EllipsoidState, j: int, c: np.ndarray) -> float:
-    return -ellipsoid_min_linear(es, j, -np.asarray(c, dtype=float))

@@ -5,12 +5,11 @@ support point (an argmax), Euclidean projection, distance, membership, and
 (1-eps)-shrinkage for downward-closed sets.  All sets live inside the unit
 box [0, 1]^d (shrunken sets inside a scaled copy of it).
 
-Projections: a box clips; a halfspace intersection with k >= 2 rows is
+Projections: a box clips; a halfspace intersection, one row or several, is
 projected exactly by a dual active-set method (Goldfarb & Idnani 1983),
 whose active rows and nonnegative multipliers certify each point, and a
 batch of points reuses one point's active rows wherever that certificate
-holds; one halfspace runs Dykstra's alternating projections, and a vertex
-list Frank-Wolfe with away steps.
+holds; a vertex list runs Frank-Wolfe with away steps.
 
 The smoothed distance is the strongly-regularized dual construction
     d_sigma(z) = max_{|theta| <= 1} theta . z - h_S(theta) - (sigma/2)|theta|^2,
@@ -177,8 +176,8 @@ class Halfspaces(ConvexSet):
     """Intersection of halfspaces with the box [0, upper]:
     {x : 0 <= x <= upper, normals @ x <= offsets}.
 
-    With k >= 2 rows the projection solves min |y - x|^2 / 2 over the rows
-    C y <= e, C = [normals; I; -I] and e = [offsets; upper; 0], by
+    The projection, for any number of rows, solves min |y - x|^2 / 2 over
+    the rows C y <= e, C = [normals; I; -I] and e = [offsets; upper; 0], by
     :meth:`_active_set` and returns y = x - C_A^T lam with lam >= 0, the active
     rows A tight and every row within _QP_TOL: the KKT conditions, which
     certify the unique projection.
@@ -200,10 +199,9 @@ class Halfspaces(ConvexSet):
             np.zeros(self.dim), a_ub=self._lp_rows, b_ub=self._lp_rhs,
         ).status != "optimal":
             raise ValueError("empty halfspace intersection")
-        if self.k != 1:
-            # the projection's rows C y <= e: the halfspaces and both box sides
-            self._qp_rows = np.vstack([self._lp_rows, -np.eye(self.dim)])
-            self._qp_rhs = np.concatenate([self._lp_rhs, np.zeros(self.dim)])
+        # the projection's rows C y <= e: the halfspaces and both box sides
+        self._qp_rows = np.vstack([self._lp_rows, -np.eye(self.dim)])
+        self._qp_rhs = np.concatenate([self._lp_rhs, np.zeros(self.dim)])
 
     @property
     def k(self) -> int:
@@ -273,29 +271,12 @@ class Halfspaces(ConvexSet):
 
     def project(self, x):
         x = np.asarray(x, dtype=float)
-        if self.k != 1:
-            return self._project_many(x[None])[0]
         if self.contains(x):
             return x.copy()
-        # Dykstra's alternating projections over the box and the halfspace
-        a, b = self.normals[0], self.offsets[0]
-        y = x.copy()
-        corrections = np.zeros((2, self.dim))
-        for _ in range(5000):
-            y_prev = y.copy()
-            z = y + corrections[0]
-            y = np.clip(z, 0.0, self.upper)
-            corrections[0] = z - y
-            z = y + corrections[1]
-            viol = float(a @ z) - b
-            y = z if viol <= 0.0 else z - (viol / float(a @ a)) * a
-            corrections[1] = z - y
-            if np.max(np.abs(y - y_prev)) < 1e-13:
-                break
-        return y
+        return self._active_set(x)[2]
 
     def _project_many(self, xs):
-        """Projections of the rows of ``xs`` (k != 1).  Rows within 1e-9 of
+        """Projections of the rows of ``xs``.  Rows within 1e-9 of
         every constraint (what :meth:`contains` accepts) come back as they
         are.  The first other row is solved by :meth:`_active_set`; its active
         rows G then give each remaining row x the point y = x - G^T lam with
@@ -369,30 +350,7 @@ class Halfspaces(ConvexSet):
         if norm.primal != "l2":
             raise UnsupportedError("Halfspaces distance supports l2 only")
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        if self.k != 1:
-            return np.linalg.norm(xs - self._project_many(xs), axis=1)
-        # single halfspace + box: batched Dykstra over two sets
-        return self._batch_dykstra(xs)
-
-    def _batch_dykstra(self, xs):
-        # feasibility masks and regret traces need ~1e-8 accuracy, not 1e-12;
-        # cap the sweep count accordingly
-        y = xs.copy()
-        corr = np.zeros((2, *xs.shape))
-        a, b = self.normals[0], self.offsets[0]
-        aa = float(a @ a)
-        for _ in range(1500):
-            y_prev = y.copy()
-            z = y + corr[0]
-            y = np.clip(z, 0.0, self.upper)
-            corr[0] = z - y
-            z = y + corr[1]
-            viol = np.maximum(z @ a - b, 0.0)
-            y = z - np.outer(viol / aa, a)
-            corr[1] = z - y
-            if np.max(np.abs(y - y_prev)) < 1e-12:
-                break
-        return np.linalg.norm(xs - y, axis=1)
+        return np.linalg.norm(xs - self._project_many(xs), axis=1)
 
     def shrink(self, eps):
         if np.any(self.normals < -1e-12) or np.any(self.offsets < -1e-12):

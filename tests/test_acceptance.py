@@ -479,7 +479,7 @@ def test_criterion_11_contextual_coverage_and_ellipsoid_oracle():
     coverage = covered / runs
 
     # rejection-sampling oracle for the linear minimum over one ellipsoid
-    from bwcr.confidence import ellipsoid_min_linear
+    from test_confidence import ellipsoid_min_linear
     es = EllipsoidState(d, n)
     rng_a = substream(0, 0, 0)
     rng_o = substream(0, 0, 1)

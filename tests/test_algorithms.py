@@ -511,7 +511,7 @@ def test_ucb_bwcr_eps_shrinks_target():
     assert np.allclose(algo.s.upper, [0.81, 0.72, 0.63])
 
 
-def test_saddle_requires_finite_lipschitz():
+def test_interval_step_needs_no_lipschitz_or_solver_options():
     # contextual steps run the interval step, which needs no Lipschitz
     # constant; the saddle search and its solver options are gone
     from bwcr.core import ContextualStructure

@@ -87,7 +87,7 @@ def test_benchmark_vs_grid_oracle():
         assert bench.opt_value >= vals[feas].max() - 1e-9    # exact, so never below the grid
 
 
-def test_large_m_uses_saddle_path():
+def test_linear_opt_without_target_is_best_arm():
     rng = np.random.default_rng(2)
     v = rng.random((2, 6))
     inst = InstanceModel(v, "bernoulli")

@@ -6,9 +6,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bwcr.confidence import (ConfidenceState, EllipsoidState, Hypercube, default_crad,
-                             ellipsoid_max_linear, ellipsoid_min_linear, rad, vertex)
+from bwcr.confidence import (ConfidenceState, EllipsoidState, Hypercube, default_crad, rad,
+                             vertex)
 from bwcr.core import InstanceModel, sample_observation, substream
+
+
+def ellipsoid_min_linear(es: EllipsoidState, j: int, c: np.ndarray) -> float:
+    """Exact minimum of c . w over the j-th confidence ellipsoid, the oracle
+    that ``EllipsoidState.hypercube``'s intervals are checked against.
+
+    min = c . center - sqrt(radius_sq) * sqrt(c^T B^{-1} c); the maximum is
+    the symmetric expression with +.
+    """
+    c = np.asarray(c, dtype=float)
+    if not np.all(np.isfinite(c)):
+        raise ValueError("c must be finite")
+    quad = float(c @ es.gram_inv[j] @ c)
+    return float(c @ es.center[j]) - math.sqrt(es.radius_sq * max(quad, 0.0))
+
+
+def ellipsoid_max_linear(es: EllipsoidState, j: int, c: np.ndarray) -> float:
+    return -ellipsoid_min_linear(es, j, -np.asarray(c, dtype=float))
 
 
 def test_rad_examples():

@@ -305,24 +305,32 @@ def test_project_l2_ball_matches_linalg_norm():
         assert np.array_equal(project_l2_ball(v, radius), expected)
 
 
-def test_two_halfspace_projection_where_dykstra_stalled():
-    # Dykstra's method stops here, where its iterate stalls, at
+@pytest.mark.parametrize("normals, offsets, x, expected, atol, dist", [
+    # Dykstra's method stopped here, where its iterate stalled, at
     # (-0.012127, 0.121670): outside the box, at distance 0.8000302.  The
     # projection is the vertex where the second halfspace meets x_1 = 0.
-    s = Halfspaces([[0.45, 1.23], [0.84, 1.07]], [0.19, 0.12])
-    x = np.array([0.04, 0.92])
+    ([[0.45, 1.23], [0.84, 1.07]], [0.19, 0.12], [0.04, 0.92], [0.0, 0.12 / 1.07],
+     [0.0, 1e-16], 0.8088401433535668),
+    # one covering halfspace x_1 + x_2 >= 1.5: Dykstra's method stopped at
+    # (0.25, 1.25), outside the box, at distance 0.7906.  The projection is
+    # the corner of the face x_1 + x_2 = 1.5 with the box face x_2 = 1.
+    ([[-0.5, -0.5]], [-0.75], [-0.5, 1.0], [0.5, 1.0], [1e-15, 1e-15], 1.0),
+], ids=["two_halfspaces", "one_halfspace"])
+def test_projection_where_dykstra_stalled(normals, offsets, x, expected, atol, dist):
+    s = Halfspaces(normals, offsets)
+    x = np.array(x)
     y = s.project(x)
-    assert y[0] == 0.0 and y[1] == pytest.approx(0.12 / 1.07, abs=1e-16)
+    assert np.all(np.abs(y - expected) <= atol)
     assert s.contains(y, tol=1e-12)
-    assert s.distance(x) == pytest.approx(0.8088401433535668, abs=1e-15)
-    assert s.distance_many(x[None])[0] == pytest.approx(0.8088401433535668, abs=1e-15)
+    assert s.distance(x) == pytest.approx(dist, abs=1e-15)
+    assert s.distance_many(x[None])[0] == pytest.approx(dist, abs=1e-15)
 
 
 def _random_polytopes(rng, count):
     """Seeded packing {a x <= b, a >= 0} and covering {-a x <= -b} targets
-    inside [0, 1]^d with k in 2..6 halfspaces and d in 2..6."""
+    inside [0, 1]^d with k in 1..6 halfspaces and d in 2..6."""
     for n in range(count):
-        k, d = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+        k, d = int(rng.integers(1, 7)), int(rng.integers(2, 7))
         a = rng.random((k, d)) * (rng.random((k, d)) < 0.8)
         a[np.arange(k), rng.integers(0, d, k)] += 0.1     # no zero row
         b = a.sum(axis=1) * rng.uniform(0.2, 0.8, k)
@@ -337,7 +345,7 @@ def _sample_points(rng, d):
                       np.cumsum(obs, axis=0) / np.arange(1, 121)[:, None]])
 
 
-def test_multi_halfspace_projection_kkt_and_batch():
+def test_halfspace_projection_kkt_and_batch():
     rng = np.random.default_rng(2024)
     outside = 0
     for s in _random_polytopes(rng, 24):
@@ -362,7 +370,7 @@ def test_multi_halfspace_projection_kkt_and_batch():
     assert outside > 1000
 
 
-def test_multi_halfspace_projection_matches_slsqp():
+def test_halfspace_projection_matches_slsqp():
     optimize = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(77)
     for s in _random_polytopes(rng, 12):
@@ -378,9 +386,14 @@ def test_multi_halfspace_projection_matches_slsqp():
             assert np.allclose(res.x, y, rtol=0.0, atol=1e-9)
 
 
-def test_multi_halfspace_projection_raises_past_its_step_limit(monkeypatch):
-    s = Halfspaces([[0.45, 1.23], [0.84, 1.07]], [0.19, 0.12])
+def test_halfspace_projection_raises_past_its_step_limit(monkeypatch):
     monkeypatch.setattr(geometry, "_QP_MAX_STEPS", 0)
-    with pytest.raises(SolverLimitError):
-        s.project(np.array([0.04, 0.92]))
-    assert s.distance(np.array([0.01, 0.01])) == 0.0
+    # (set, a point outside it, a point inside it)
+    for s, x, inside in [
+            (Halfspaces([[0.45, 1.23], [0.84, 1.07]], [0.19, 0.12]), [0.04, 0.92], [0.01, 0.01]),
+            (Halfspaces([[-0.5, -0.5]], [-0.75]), [-0.5, 1.0], [0.9, 0.9])]:
+        with pytest.raises(SolverLimitError):
+            s.project(np.array(x))
+        with pytest.raises(SolverLimitError):
+            s.distance_many(np.array([x]))
+        assert s.distance(np.array(inside)) == 0.0

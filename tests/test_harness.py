@@ -216,7 +216,7 @@ def test_cli_rejects_solver_options(tmp_path):
 
 
 def test_cli_solver_limit_and_unsupported_exit_codes(tmp_path, monkeypatch, capsys):
-    from bwcr import cli, lp
+    from bwcr import cli, geometry, lp
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_config_doc(tmp_path, horizon=5)))
 
@@ -225,6 +225,18 @@ def test_cli_solver_limit_and_unsupported_exit_codes(tmp_path, monkeypatch, caps
 
     with monkeypatch.context() as patch:
         patch.setattr(lp, "_bland_iterate", capped)
+        assert cli.main(["simulate", "--config", str(path)]) == 4
+    assert "solver limit" in capsys.readouterr().err
+
+    # fw_bwc projects its running average, which starts outside x_1 <= 0.4,
+    # onto the one-halfspace target; the projection raises at its step limit
+    doc = _config_doc(tmp_path, horizon=5)
+    del doc["objective"]
+    doc["constraint_set"] = {"kind": "halfspaces", "normals": [[1.0, 0.0]], "offsets": [0.4]}
+    doc["algorithm"] = {"variant": "fw_bwc"}
+    path.write_text(json.dumps(doc))
+    with monkeypatch.context() as patch:
+        patch.setattr(geometry, "_QP_MAX_STEPS", 0)
         assert cli.main(["simulate", "--config", str(path)]) == 4
     assert "solver limit" in capsys.readouterr().err
 
@@ -593,14 +605,14 @@ _RECORDED_TRACE_SHA256 = {
         "52ae84cef8a637f37b9f33c3ef7fb0a9a4379714b91c7f4372de9c9af31ef06e",
         "5745c7598ce9213f597bde67081f1a1e34400a8e2028ac176f70f52565265ed5"),
     "ucb_bwcr_mixed_sign": (
-        "87f50899313533f3f82fcf2b4bff92e5733ae2138349cfd90053966f2f9105db",
-        "3f1c68b88e4d56740a2bf3fbe06ba3f916e9590797a0385fcb806073aee6da4d"),
+        "e8db4bfe7b257d8e39ae021f02bd7b7820dc968d794430c072eef406d5bf2b10",
+        "239693dc119bdc1e6a2c78f7c9c748143f2bc3c7fa8817893f890eab580b6a23"),
     "ucb_bwk_mixed_gamma": (
         "509a27aacadbafe90f9ffff5c3c4ca5bfc6cf4c70d8717514184eab7275bda35",
         "0657ad8d2d4adc5d01f6a7a3f8cff05c4f8357bdf30b86d4240e11ffe9ab6ed9"),
     "ucb_bwcr_mixed_sign_gamma": (
-        "d74133d6e5e567a94fc0c7ed742e4cb3b715e6fff1f7122cb1fe455912239b0d",
-        "f71e7fa71aecf608c8d7015d0204554c1bea9ab1eb4a1bb38a789d7e3332d664"),
+        "bcae57f4c47e7495b041db6fd3aa67381c3a7421e02d56a33c34854e03ce1c8f",
+        "9d81623e768b00ecc2da7895a28d04846af5bfe437ae43ccf5908632477b4ec5"),
     "ucb_bwcr_contextual": (
         "1c1dcf376bd4efcdb2289be323d764990f1e3a6e2289fbf1c65a9dc55279be3d",
         "dfc003209b9fb8ff5478e5b55dd70e45d1381bd46aacf0b76f08fca30c76c1a7"),

@@ -1,6 +1,6 @@
 """Static hygiene of the package sources: every import is used, every
-private helper is read somewhere in the package, and importing the package
-loads no scipy."""
+private helper and every public module-level function and class is read
+somewhere in the package, and importing the package loads no scipy."""
 import ast
 import os
 import subprocess
@@ -42,14 +42,20 @@ def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
 
 
-def _orphaned_private_defs(sources: dict) -> list:
+def _orphaned_defs(sources: dict) -> list:
     """Private functions, methods and classes (a ``_`` prefix, dunders
-    excepted) defined in ``sources`` (file name -> text) that no expression in
-    any of them reads, as a bare name or as an attribute."""
+    excepted) and public module-level functions and classes defined in
+    ``sources`` (file name -> text) that no expression in any of them reads,
+    as a bare name or as an attribute.  A test oracle with no caller in the
+    package belongs in the tests."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     defined, read = [], set()
     for fname, source in sources.items():
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        tree = ast.parse(source)
+        defined += [(node.name, fname, node.lineno) for node in tree.body
+                    if isinstance(node, defs) and not node.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, defs):
                 if node.name.startswith("_") and not node.name.endswith("__"):
                     defined.append((node.name, fname, node.lineno))
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -65,14 +71,29 @@ def test_detector_flags_an_unused_private_helper():
                        "class _Box:\n    def __init__(self):\n        pass\n"
                        "    def _peek(self):\n        pass\n"
                        "_orphan = _used()\n",
-               "b.py": "def f(box):\n    return box._peek\n"}
-    assert _orphaned_private_defs(sources) == ["_Box (a.py, line 5)",
-                                               "_orphan (a.py, line 3)"]
+               "b.py": "def f(box):\n    return box._peek\nf(None)\n"}
+    assert _orphaned_defs(sources) == ["_Box (a.py, line 5)", "_orphan (a.py, line 3)"]
+
+
+def test_detector_flags_an_unused_public_def():
+    # methods count only when private; module-level names count either way
+    sources = {"a.py": "class Cell:\n    def peek(self):\n        pass\n"
+                       "def oracle():\n    pass\n"
+                       "def g():\n    return Cell()\n",
+               "b.py": "from a import g\nx = g().peek\n"}
+    assert _orphaned_defs(sources) == ["oracle (a.py, line 4)"]
+
+
+def _package_orphans():
+    return _orphaned_defs({path.name: path.read_text() for path in sorted(SRC.glob("*.py"))})
 
 
 def test_no_orphaned_private_helpers():
-    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert _orphaned_private_defs(sources) == []
+    assert [o for o in _package_orphans() if o.startswith("_")] == []
+
+
+def test_no_orphaned_public_defs():
+    assert [o for o in _package_orphans() if not o.startswith("_")] == []
 
 
 def test_package_import_loads_no_scipy():

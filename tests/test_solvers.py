@@ -7,14 +7,14 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bwcr.confidence import (EllipsoidState, Hypercube, ellipsoid_max_linear,
-                             ellipsoid_min_linear)
+from bwcr.confidence import EllipsoidState, Hypercube
 from bwcr.errors import ConfigError, SolverLimitError
 from bwcr.geometry import Box, Halfspaces, VPolytope
 from bwcr.lp import _bland_iterate, solve_dense_lp
 from bwcr.objective import LinearObjective, NegativeDistance, SeparableObjective
 from bwcr.solvers import (GAP_TOL, LpProblem, _certify_pair, degenerate_region,
                           entropic_step, make_oco, ogd_step, solve_lp, solve_ucb_step)
+from test_confidence import ellipsoid_max_linear, ellipsoid_min_linear
 
 
 def lp_vertex_oracle(r, c, beta):
@@ -393,7 +393,7 @@ def test_ucb_step_infeasible_contract():
     assert res.policy is None
 
 
-def test_ucb_step_saddle_vs_grid_small():
+def test_ucb_step_vs_grid_small():
     rng = np.random.default_rng(3)
     grid = _simplex_grid_m3()
     for trial in range(6):
