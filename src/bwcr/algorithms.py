@@ -41,7 +41,7 @@ from .errors import ConfigError, UnsupportedError
 from .geometry import Box, ConvexSet, smoothed_distance
 from .lp import workspace_counts
 from .objective import NegativeDistance, Objective
-from .solvers import LpProblem, entropic_step, make_oco, ogd_step, solve_lp, solve_ucb_step
+from .solvers import entropic_step, make_oco, ogd_step, solve_lp, solve_ucb_step
 
 VARIANTS = ("ucb_bwcr", "ucb_bwk", "dual_oco", "fw_primal", "fw_bwc", "combined", "greedy_bwk")
 
@@ -306,12 +306,13 @@ class UcbBwkStepper(_BudgetedStepper):
     def __init__(self, config, instance):
         super().__init__(config, instance)
         if config.eps is None:
-            self.eps = min(0.5, math.sqrt(self.m * self.gamma / self.budget))
+            eps = min(0.5, math.sqrt(self.m * self.gamma / self.budget))
         else:
-            self.eps = float(config.eps)
+            eps = float(config.eps)
         # eps = 1 is the zero-budget limit case (only cost-free arms playable)
-        if not 0.0 <= self.eps <= 1.0:
+        if not 0.0 <= eps <= 1.0:
             raise ConfigError("eps must lie in [0, 1]")
+        self._cap = (1.0 - eps) * (self.budget / config.horizon)
         self._basis = None
         self._workspace = {}
 
@@ -319,11 +320,9 @@ class UcbBwkStepper(_BudgetedStepper):
         if self._exhausted():
             return STOP
         hc = self._hypercube()
-        # the bounds are ConfidenceState's, in [0, 1]; eps was checked once
-        problem = LpProblem.unchecked(hc.ucb[0], hc.lcb[1:], self.budget / self.config.horizon,
-                                      self.eps)
-        res = solve_lp(problem, warm_basis=self._basis, workspace=self._workspace)
-        if res.status != "optimal":
+        res = solve_lp(hc.ucb[0], hc.lcb[1:], self._cap, warm_basis=self._basis,
+                       workspace=self._workspace)
+        if not res.feasible:
             # unreachable under the feasibility assumption; play safe
             if self.config.allow_idle:
                 self._pending_x = np.zeros(self.d)

@@ -17,7 +17,7 @@ import numpy as np
 from .core import InstanceModel, PolicyDistribution, RunHistory
 from .geometry import ConvexSet, L2, NormPair
 from .objective import LinearObjective, Objective
-from .solvers import GAP_TOL, LpProblem, degenerate_region, solve_lp, solve_ucb_step
+from .solvers import GAP_TOL, degenerate_region, solve_lp, solve_ucb_step
 
 
 @dataclass
@@ -68,10 +68,10 @@ def compute_opt(instance: InstanceModel, f: Optional[Objective] = None,
 def compute_bwk_opt(instance: InstanceModel, budget: float, horizon: int) -> BenchmarkResult:
     """Per-step LP value for budgeted runs (total benchmark is horizon * value)."""
     v = instance.mean_matrix
-    res = solve_lp(LpProblem(v[0], v[1:], budget / horizon))
-    if res.status != "optimal":
+    res = solve_lp(v[0], v[1:], budget / horizon)
+    if not res.feasible:
         return BenchmarkResult(p_star=None, opt_value=math.nan, feasible=False)
-    return BenchmarkResult(p_star=res.policy, opt_value=res.value, feasible=True)
+    return BenchmarkResult(p_star=res.policy, opt_value=res.objective, feasible=True)
 
 
 def regret_trace(history: RunHistory, bench: BenchmarkResult,

@@ -51,7 +51,7 @@ def _verify_checks():
     from .geometry import Box, smoothed_distance
     from .lp import workspace_counts
     from .objective import LinearObjective, duality_gap_check
-    from .solvers import LpProblem, make_oco, ogd_step, solve_lp
+    from .solvers import make_oco, ogd_step, solve_lp
 
     def check_rad():
         return abs(rad(0.25, 100, 4.0) - 0.14) < 1e-12
@@ -73,8 +73,8 @@ def _verify_checks():
         return True
 
     def check_lp():
-        res = solve_lp(LpProblem(np.array([1.0, 0.5]), np.array([[1.0, 0.0]]), 0.5))
-        return res.status == "optimal" and abs(res.value - 0.75) < 1e-9
+        res = solve_lp(np.array([1.0, 0.5]), np.array([[1.0, 0.0]]), 0.5)
+        return res.feasible and abs(res.objective - 0.75) < 1e-9
 
     def check_lp_warm():
         # the knapsack example resolved through one workspace: after a reward
@@ -84,19 +84,20 @@ def _verify_checks():
         # solve must match a cold one
         ws = {}
         cons = np.array([[1.0, 0.0]])
-        basis = solve_lp(LpProblem(np.array([1.0, 0.5]), cons, 0.5), workspace=ws).basis
-        for rewards, ratio, expect in (([0.9, 0.6], 0.5, "certify"), ([0.2, 0.7], 0.5, "pivot"),
-                                       ([0.9, 0.6], 0.4, "rebuild")):
-            problem = LpProblem(np.array(rewards), cons, ratio)
+        basis = solve_lp(np.array([1.0, 0.5]), cons, 0.5, workspace=ws).basis
+        for rewards, cap, expect in (([0.9, 0.6], 0.5, "certify"), ([0.2, 0.7], 0.5, "pivot"),
+                                     ([0.9, 0.6], 0.4, "rebuild")):
+            r = np.array(rewards)
             before, form = workspace_counts(ws), ws["form"]
-            warm = solve_lp(problem, warm_basis=basis, workspace=ws)
+            warm = solve_lp(r, cons, cap, warm_basis=basis, workspace=ws)
             after = workspace_counts(ws)
             done = {"certify": after["lp_certified"] == before["lp_certified"] + 1
                     and after["lp_scalar"] == before["lp_scalar"] + 1,
                     "pivot": after["lp_pivots"] > before["lp_pivots"],
                     "rebuild": ws["form"] is not form}[expect]
-            cold = solve_lp(problem)
-            if (not done or warm.status != cold.status or abs(warm.value - cold.value) > 1e-12
+            cold = solve_lp(r, cons, cap)
+            if (not done or warm.feasible != cold.feasible
+                    or abs(warm.objective - cold.objective) > 1e-12
                     or not np.allclose(warm.policy.weights, cold.policy.weights, atol=1e-12)):
                 return False
             basis = warm.basis

@@ -214,14 +214,8 @@ class Halfspaces(ConvexSet):
         return self._support_impl(np.asarray(theta, dtype=float), workspace)[1]
 
     def support_and_point(self, theta, workspace=None):
-        if self.k > 1:
-            # the LP's point comes from the second, certifying solve, as it
-            # would from a support_point call after a support call
-            return super().support_and_point(theta, workspace)
-        # the knapsack's value is theta . x at the point it returns
-        theta = np.asarray(theta, dtype=float)
-        x = self.support_point(theta)
-        return float(theta.dot(x)), x
+        # one knapsack or LP solve; its value is theta . x at its point
+        return self._support_impl(np.asarray(theta, dtype=float), workspace)
 
     def _support_impl(self, theta, workspace):
         if self.k == 1:
@@ -317,7 +311,7 @@ class Halfspaces(ConvexSet):
                 lam_p = 0.0
             # raising lam_p by t moves y by -t z and the active multipliers by -t r
             g = c[active]
-            r = np.linalg.solve(g @ g.T, g @ c[p])
+            r = np.linalg.solve(g @ g.T, g @ c[p]) if active else np.zeros(0)
             z = c[p] - r @ g
             zz = float(z @ z)
             # the full step makes p tight; z = 0 when c_p lies in the active rows' span

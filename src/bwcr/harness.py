@@ -39,7 +39,7 @@ from .errors import ConfigError, GenerationError
 from .geometry import Box, ConvexSet, Halfspaces, set_from_json
 from .lp import COUNTERS as LP_COUNTERS, solve_dense_lp
 from .objective import LinearObjective, Objective, objective_from_json
-from .solvers import LpProblem, solve_lp
+from .solvers import solve_lp
 
 GENERATOR_KINDS = ("random_bernoulli", "bwk", "sensor_network", "contextual")
 BWK_VARIANTS = ("ucb_bwk", "greedy_bwk")
@@ -59,18 +59,24 @@ def generate_instance(spec: GeneratorSpec, seed: int):
     """Build (instance, objective or None, constraint set or None).
 
     Generators rejection-sample until the produced instance admits a feasible
-    mixture for its constraint set (bounded retries).
+    mixture for its constraint set (bounded retries).  Missing or malformed
+    parameters are a ConfigError, as in :func:`config_from_json`.
     """
     rng = substream(seed, 0, PURPOSE_GENERATOR)
-    if spec.kind == "random_bernoulli":
-        d, m = int(spec.params["d"]), int(spec.params["m"])
-        v = rng.random((d, m))
-        return InstanceModel(v, "bernoulli"), None, None
-    if spec.kind == "bwk":
-        return _generate_bwk(spec.params, rng), None, None
-    if spec.kind == "sensor_network":
-        return _generate_sensor(spec.params, rng)
-    return _generate_contextual(spec.params, rng)
+    try:
+        if spec.kind == "random_bernoulli":
+            d, m = int(spec.params["d"]), int(spec.params["m"])
+            v = rng.random((d, m))
+            return InstanceModel(v, "bernoulli"), None, None
+        if spec.kind == "bwk":
+            return _generate_bwk(spec.params, rng), None, None
+        if spec.kind == "sensor_network":
+            return _generate_sensor(spec.params, rng)
+        return _generate_contextual(spec.params, rng)
+    except ConfigError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {spec.kind} generator parameters: {exc}") from exc
 
 
 def _generate_bwk(params: dict, rng) -> InstanceModel:
@@ -78,10 +84,12 @@ def _generate_bwk(params: dict, rng) -> InstanceModel:
     n_res = int(params.get("resources", 1))
     budget = float(params["budget"])
     horizon = int(params["horizon"])
+    if not (budget > 0.0 and horizon >= 1):
+        raise ConfigError("bwk generator needs a positive budget and horizon")
     for _ in range(1000):
         rewards = rng.uniform(0.1, 0.9, m)
         cons = rng.random((n_res, m))
-        if solve_lp(LpProblem(rewards, cons, budget / horizon)).status == "optimal":
+        if solve_lp(rewards, cons, budget / horizon).feasible:
             return InstanceModel(np.vstack([rewards, cons]), "bernoulli")
     raise GenerationError("could not generate a feasible budgeted instance")
 
@@ -360,8 +368,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
         if is_bwk:
             trace = regret_trace(history, bench, trace_f, None,
                                  bwk_lp_value=bench.opt_value, horizon=cfg.horizon)
-            trace.areg2 = trace_s.distance_many(history.observations[:, 1:].cumsum(axis=0)
-                                                / trace.steps[:, None])
+            trace.areg2 = trace_s.distance_many(trace.averages[:, 1:])
         else:
             trace = regret_trace(history, bench, trace_f, trace_s)
         write_trace_csv(out / f"seed_{seed}.csv", history, trace, is_bwk)

@@ -4,7 +4,8 @@ Solves   max  c . x   s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0.
 
 Pivoting uses Bland's rule (lowest eligible index) for both the entering and
 leaving choices, which rules out cycling.  Instances here are tiny (tens of
-variables), so the plain dense tableau is the right tool.
+variables), so the plain dense tableau is the right tool.  A result is
+primal: the status, x, its value, the final basis and the pivot counts.
 
 A previously optimal basis can be passed back in when resolving a nearby
 problem (the per-step LPs of the bandit algorithms change only slightly
@@ -73,8 +74,6 @@ class LpResult:
     x: Optional[np.ndarray] = None
     value: float = float("nan")
     basis: Optional[list] = None   # column indices incl. slacks, reusable as warm start
-    y_ub: Optional[np.ndarray] = None
-    y_eq: Optional[np.ndarray] = None
     pivots: int = 0                # simplex pivots made, both phases
     replayed: int = 0              # of those, the ones a workspace's cache served
 
@@ -199,16 +198,16 @@ class _Form:
         big_a[:k_ub, n:] = np.eye(k_ub)
         big_a[k_ub:, :n] = a_eq
         rhs = np.concatenate([b_ub, b_eq])
-        # normalize to rhs >= 0 (remember flips to restore dual signs)
-        self.flips = rhs < 0
-        big_a[self.flips] *= -1.0
+        # normalize to rhs >= 0 by flipping rows; the flips are kept only as
+        # the row signs below, which rewrite A in place (None: no flips)
+        flips = rhs < 0
+        big_a[flips] *= -1.0
         self.big_a = big_a
         self.rhs = np.abs(rhs)
         self.full_cost = np.concatenate([obj, np.zeros(k_ub)])
-        # per-row signs for rewriting flipped entries in place; None: no flips
-        sign = np.where(self.flips, -1.0, 1.0)[:, None]
-        self.sign_ub = sign[:k_ub] if self.flips[:k_ub].any() else None
-        self.sign_eq = sign[k_ub:] if self.flips[k_ub:].any() else None
+        sign = np.where(flips, -1.0, 1.0)[:, None]
+        self.sign_ub = sign[:k_ub] if flips[:k_ub].any() else None
+        self.sign_eq = sign[k_ub:] if flips[k_ub:].any() else None
         self.a_bytes = big_a.tobytes()
         self.roots = {}       # start basis (a tuple) -> _Root
         self.size = 0         # nodes cached under roots
@@ -298,11 +297,11 @@ class _Form:
 
 
 def solve_dense_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
-                   basis: Optional[list] = None, need_duals: bool = False,
+                   basis: Optional[list] = None,
                    workspace: Optional[dict] = None) -> LpResult:
     """Solve the LP, warm from ``basis`` if given; ``workspace`` is a
     caller-owned dict that keeps this LP family's form between calls (see the
-    module docstring).  Duals are filled in only with ``need_duals``."""
+    module docstring)."""
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
     a_ub, a_eq, b_ub, b_eq = _rows(a_ub, n), _rows(a_eq, n), _rhs(b_ub), _rhs(b_eq)
@@ -316,7 +315,7 @@ def solve_dense_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
             workspace["form"] = form
             for name in COUNTERS:
                 workspace.setdefault(name, 0)
-    res = _solve(form, c, basis, need_duals)
+    res = _solve(form, c, basis)
     if workspace is not None:
         workspace["lp_solves"] += 1
         workspace["lp_pivots"] += res.pivots
@@ -326,53 +325,37 @@ def solve_dense_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
     return res
 
 
-def _finish(form: _Form, obj, basis_list, x, pivots, need_duals, y=None) -> LpResult:
+def _finish(obj, basis_list, x, pivots, replayed=0) -> LpResult:
     """The optimal result for a final basis and its structural x."""
-    value = float(obj @ x)
-    # duals from the final basis: y solves B^T y = c_B (in the flipped system)
-    y_ub = y_eq = None
-    if need_duals and len(basis_list) == form.n_rows:
-        try:
-            if y is None:
-                y = np.linalg.solve(form.big_a[:, basis_list].T, form.full_cost[basis_list]) \
-                    if basis_list else np.zeros(0)
-            y = y.copy()
-            y[form.flips] *= -1.0
-            y_ub, y_eq = y[:form.k_ub], y[form.k_ub:]
-        except np.linalg.LinAlgError:
-            pass
-    return LpResult(status="optimal", x=x, value=value, basis=basis_list,
-                    y_ub=y_ub, y_eq=y_eq, pivots=pivots)
+    return LpResult(status="optimal", x=x, value=float(obj @ x), basis=basis_list,
+                    pivots=pivots, replayed=replayed)
 
 
-def _solve(form: _Form, obj, basis, need_duals: bool) -> LpResult:
+def _solve(form: _Form, obj, basis) -> LpResult:
     if basis is not None and len(basis) == form.n_rows:
         root = form.root(tuple(basis))
         if root is not None:
-            return _solve_warm(form, obj, root, need_duals)
-    return _solve_cold(form, obj, need_duals)
+            return _solve_warm(form, obj, root)
+    return _solve_cold(form, obj)
 
 
-def _solve_warm(form: _Form, obj, root: _Root, need_duals: bool) -> LpResult:
+def _solve_warm(form: _Form, obj, root: _Root) -> LpResult:
     """Certify the feasible start basis ``root`` or run phase 2 from it."""
     n, n_cols, full_cost = form.n, form.n_cols, form.full_cost
     y = root.duals(full_cost)
     reduced = full_cost - y @ form.big_a
     if not np.count_nonzero(reduced > _TOL):
         # still optimal: Bland's test passes with no pivot to make
-        return _finish(form, obj, list(root.basis), _scatter(root.idx, root.xb, n_cols, n), 0,
-                       need_duals, y)
+        return _finish(obj, list(root.basis), _scatter(root.idx, root.xb, n_cols, n), 0)
     cost2 = np.append(reduced, -float(y @ form.rhs))
     status, node, pivots, replayed = form.replay(root, cost2)
     if status == "unbounded":
         return LpResult(status="unbounded", pivots=pivots, replayed=replayed)
-    res = _finish(form, obj, list(node.basis), _scatter(node.basis, node.tableau[:, -1], n_cols, n),
-                  pivots, need_duals)
-    res.replayed = replayed
-    return res
+    return _finish(obj, list(node.basis), _scatter(node.basis, node.tableau[:, -1], n_cols, n),
+                   pivots, replayed)
 
 
-def _solve_cold(form: _Form, obj, need_duals: bool) -> LpResult:
+def _solve_cold(form: _Form, obj) -> LpResult:
     """Phase 1 from the artificial basis, then phase 2."""
     n, n_rows, n_cols = form.n, form.n_rows, form.n_cols
     big_a, rhs, full_cost = form.big_a, form.rhs, form.full_cost
@@ -417,5 +400,4 @@ def _solve_cold(form: _Form, obj, need_duals: bool) -> LpResult:
     pivots += pivots2
     if status == "unbounded":
         return LpResult(status="unbounded", pivots=pivots)
-    return _finish(form, obj, basis_list, _scatter(basis_list, tableau[:, -1], n_cols, n),
-                   pivots, need_duals)
+    return _finish(obj, basis_list, _scatter(basis_list, tableau[:, -1], n_cols, n), pivots)

@@ -2,11 +2,12 @@
 
 Three pieces live here:
 
-* :func:`solve_lp` - the budgeted simplex LP  max r.p  s.t.  C p <= beta 1,
+* :func:`solve_lp` - the budgeted simplex LP  max r.p  s.t.  C p <= cap 1,
   p in the simplex (the knapsack step), on top of the dense tableau solver.
-  LPs with one constraint row certify a warm basis in scalar floats first
-  (:func:`_certify_pair`).  The linear step below over one unclipped
-  halfspace is this LP too, and is solved by it.
+  It takes the arrays and the cap as they are and returns a
+  :class:`StepResult`.  LPs with one constraint row certify a warm basis in
+  scalar floats first (:func:`_certify_pair`).  The linear step below over
+  one unclipped halfspace is this LP too, and is solved by it.
 * :func:`solve_ucb_step` - the optimistic step: maximize
   psi(p) = max over confidence region of f(V~ p)  subject to the region
   touching the target set.  Every region is an interval region (a
@@ -54,51 +55,20 @@ from .lp import _FEAS_TOL, _TOL, solve_dense_lp
 from .objective import LinearObjective, Objective
 
 
-@dataclass(frozen=True)
-class LpProblem:
-    """max rewards . p  s.t.  consumption p <= (1-eps) * budget_ratio * 1, p in simplex."""
-
-    rewards: np.ndarray
-    consumption: np.ndarray
-    budget_ratio: float
-    eps: float = 0.0
-
-    def __post_init__(self):
-        r = np.asarray(self.rewards, dtype=float)
-        c = np.atleast_2d(np.asarray(self.consumption, dtype=float))
-        if r.min() < -1e-12 or r.max() > 1.0 + 1e-12 or c.min() < -1e-12 or c.max() > 1.0 + 1e-12:
-            raise ValueError("rewards and consumption entries must lie in [0, 1]")
-        if self.budget_ratio <= 0.0:
-            raise ValueError("budget_ratio must be positive")
-        # eps = 1 is the degenerate zero-budget problem (only cost-free arms
-        # playable); the budgeted algorithms rely on that limit case
-        if not 0.0 <= self.eps <= 1.0:
-            raise ValueError("eps must lie in [0, 1]")
-        object.__setattr__(self, "rewards", r)
-        object.__setattr__(self, "consumption", c)
-
-    @classmethod
-    def unchecked(cls, rewards: np.ndarray, consumption: np.ndarray, budget_ratio: float,
-                  eps: float = 0.0) -> "LpProblem":
-        """Wrap a float reward vector and a 2-D float consumption matrix
-        without validation (hot paths; the caller guarantees the invariants,
-        e.g. bounds maintained by ConfidenceState and scalars checked once).
-        The solver needs no sign: the linear one-halfspace step passes its
-        reduced rows and offset, of either sign."""
-        problem = object.__new__(cls)
-        object.__setattr__(problem, "rewards", rewards)
-        object.__setattr__(problem, "consumption", consumption)
-        object.__setattr__(problem, "budget_ratio", budget_ratio)
-        object.__setattr__(problem, "eps", eps)
-        return problem
-
-
 @dataclass
-class LpStepResult:
-    status: str                           # "optimal" | "infeasible"
-    policy: Optional[PolicyDistribution] = None
-    value: float = float("nan")
-    basis: Optional[list] = None
+class StepResult:
+    feasible: bool
+    policy: Optional[PolicyDistribution]
+    objective: float
+    x: Optional[np.ndarray]                 # region point achieving the objective
+    gap: float = math.nan                   # certified LP bound - objective; nan if infeasible
+    rounds: int = 0                         # LP solves of the step
+    basis: Optional[list] = None            # warm basis (linear objective)
+
+
+def _simplex_point(x: np.ndarray) -> np.ndarray:
+    p = np.maximum(x, 0.0)
+    return p / p.sum()
 
 
 def _certify_pair(r: list, a: list, cap: float, u: int, v: int):
@@ -143,39 +113,39 @@ def _certify_pair(r: list, a: list, cap: float, u: int, v: int):
     return p, ru * xu + r[v] * xv
 
 
-def solve_lp(problem: LpProblem, warm_basis: Optional[list] = None,
-             workspace: Optional[dict] = None) -> LpStepResult:
-    """Solve the budgeted simplex LP, warm from ``warm_basis`` if given.
+def solve_lp(rewards: np.ndarray, consumption: np.ndarray, cap: float,
+             warm_basis: Optional[list] = None, workspace: Optional[dict] = None) -> StepResult:
+    """Solve  max rewards . p  s.t.  consumption p <= cap 1, p in the simplex,
+    warm from ``warm_basis`` if given.  ``consumption`` is a 2-D float array
+    of any sign (the linear one-halfspace step passes its reduced row and
+    offset); callers validate their own data.
 
     ``workspace`` is a caller-owned dict for a run's sequence of these LPs: it
     keeps the rhs arrays and the LP's standard form between calls (see
     :mod:`bwcr.lp`); results are the same with or without it.  With one
     consumption row a warm basis is first certified in scalar floats by
     :func:`_certify_pair`; only a basis that fails goes to the dense solver.
+    The result's ``x`` is None: the LP's point is the policy.
     """
-    m, k = problem.rewards.shape[0], problem.consumption.shape[0]
-    beta = (1.0 - problem.eps) * problem.budget_ratio
+    k, m = consumption.shape
     ws = {} if workspace is None else workspace
-    if ws.get("rhs_key") != (k, m, beta):
-        ws.update(rhs_key=(k, m, beta), b_ub=np.full(k, beta), a_eq=np.ones((1, m)),
-                  b_eq=np.ones(1), one_row=k == 1)
-    if ws["one_row"] and warm_basis is not None and len(warm_basis) == 2:
-        certified = _certify_pair(problem.rewards.tolist(), problem.consumption[0].tolist(),
-                                  beta, *warm_basis)
+    if ws.get("rhs_key") != (k, m, cap):
+        ws.update(rhs_key=(k, m, cap), b_ub=np.full(k, cap), a_eq=np.ones((1, m)),
+                  b_eq=np.ones(1))
+    if k == 1 and warm_basis is not None and len(warm_basis) == 2:
+        certified = _certify_pair(rewards.tolist(), consumption[0].tolist(), cap, *warm_basis)
         if certified is not None:
             for key in ("lp_solves", "lp_certified", "lp_scalar"):
                 ws[key] = ws.get(key, 0) + 1
-            return LpStepResult(status="optimal", policy=PolicyDistribution.unchecked(
-                certified[0]), value=certified[1], basis=warm_basis)
-    res = solve_dense_lp(problem.rewards, a_ub=problem.consumption, b_ub=ws["b_ub"],
-                         a_eq=ws["a_eq"], b_eq=ws["b_eq"], basis=warm_basis,
-                         workspace=workspace)
+            return StepResult(feasible=True, policy=PolicyDistribution.unchecked(certified[0]),
+                              objective=certified[1], x=None, gap=0.0, rounds=1,
+                              basis=warm_basis)
+    res = solve_dense_lp(rewards, a_ub=consumption, b_ub=ws["b_ub"], a_eq=ws["a_eq"],
+                         b_eq=ws["b_eq"], basis=warm_basis, workspace=workspace)
     if res.status != "optimal":
-        return LpStepResult(status="infeasible")
-    p = np.maximum(res.x, 0.0)
-    p /= p.sum()
-    return LpStepResult(status="optimal", policy=PolicyDistribution(p),
-                        value=res.value, basis=res.basis)
+        return StepResult(feasible=False, policy=None, objective=math.nan, x=None, rounds=1)
+    return StepResult(feasible=True, policy=PolicyDistribution(_simplex_point(res.x)),
+                      objective=res.value, x=None, gap=0.0, rounds=1, basis=res.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -184,17 +154,6 @@ def solve_lp(problem: LpProblem, warm_basis: Optional[list] = None,
 GAP_TOL = 1e-10     # certified optimality gap of a step
 MAX_ROUNDS = 200    # LP solves per cutting-plane step
 _CUT_FLOOR = 1e-12  # least cut coordinate: sqrt slopes are infinite at 0
-
-
-@dataclass
-class StepResult:
-    feasible: bool
-    policy: Optional[PolicyDistribution]
-    objective: float
-    x: Optional[np.ndarray]                 # region point achieving the objective
-    gap: float = math.nan                   # certified LP bound - objective; nan if infeasible
-    rounds: int = 0                         # LP solves of the step
-    basis: Optional[list] = None            # warm basis (linear objective)
 
 
 def _step_skeleton(d: int, m: int, f: Objective, s: Optional[ConvexSet]) -> dict:
@@ -285,11 +244,6 @@ def _fill_intervals(ws: dict, hc: Hypercube) -> np.ndarray:
     return a_ub
 
 
-def _simplex_point(x: np.ndarray) -> np.ndarray:
-    p = np.maximum(x, 0.0)
-    return p / p.sum()
-
-
 def solve_ucb_step(hc: Hypercube, f: Objective, s: Optional[ConvexSet] = None, *,
                    warm: Optional[StepResult] = None,
                    workspace: Optional[dict] = None) -> StepResult:
@@ -319,8 +273,8 @@ def solve_ucb_step(hc: Hypercube, f: Objective, s: Optional[ConvexSet] = None, *
         basis = warm.basis if warm is not None else None
         if "one_row_cap" in ws:
             rows = ws["w_ucb"] @ hc.ucb + ws["w_lcb"] @ hc.lcb      # r and g
-            res = solve_lp(LpProblem.unchecked(rows[0], rows[1:], ws["one_row_cap"]),
-                           warm_basis=basis, workspace=ws)
+            res = solve_lp(rows[0], rows[1:], ws["one_row_cap"], warm_basis=basis,
+                           workspace=ws)
             policy = res.policy
         else:
             res = solve_dense_lp(ws["cost"], a_ub=_fill_intervals(ws, hc),
@@ -386,7 +340,7 @@ def solve_ucb_step(hc: Hypercube, f: Objective, s: Optional[ConvexSet] = None, *
             break
         # cut points stay inside the domain, where every slope is finite
         y_next = np.where(pinned, 0.0, np.clip(res.x[m:m + d], _CUT_FLOOR, 1.0))
-        if np.array_equal(y_next, y):
+        if (y_next == y).all():
             break   # the same cut again cannot tighten the bound
         y = y_next
         add_cut(y)

@@ -19,7 +19,7 @@ from bwcr.core import InstanceModel, ContextualStructure, substream
 from bwcr.geometry import Box, Halfspaces, smoothed_distance
 from bwcr.harness import run_single
 from bwcr.objective import LinearObjective, NegativeDistance, SeparableObjective
-from bwcr.solvers import LpProblem, make_oco, ogd_step, solve_lp, solve_ucb_step
+from bwcr.solvers import make_oco, ogd_step, solve_lp, solve_ucb_step
 
 
 def _report(num, name, ok, detail, elapsed):
@@ -205,14 +205,14 @@ def test_criterion_03_lp_against_enumeration():
         r = rng.random(m)
         c = rng.random((d, m))
         beta = float(rng.random() * 0.9 + 0.05)
-        res = solve_lp(LpProblem(r, c, beta))
+        res = solve_lp(r, c, beta)
         oracle = _lp_vertex_oracle(r, c, beta)
         if oracle is None:
-            mismatches += 0 if res.status == "infeasible" else 1
-        elif res.status != "optimal":
+            mismatches += 0 if not res.feasible else 1
+        elif not res.feasible:
             mismatches += 1
         else:
-            worst = max(worst, abs(res.value - oracle))
+            worst = max(worst, abs(res.objective - oracle))
     elapsed = time.time() - started
     _report(3, "lp solver vs vertex enumeration",
             mismatches == 0 and worst <= 1e-9 and elapsed < 10,

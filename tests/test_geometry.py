@@ -292,7 +292,12 @@ def test_support_and_point_matches_separate_calls():
             theta = rng.uniform(-1.0, 1.0, 3)
             value, point = s.support_and_point(theta, ws_pair)
             assert value == s.support(theta, ws_calls)
-            assert np.array_equal(point, s.support_point(theta, ws_calls))
+            if isinstance(s, Halfspaces) and s.k > 1:
+                # one LP solve: its point attains its value, and no second
+                # solve re-certifies it
+                assert s.contains(point) and abs(float(theta @ point) - value) <= 1e-12
+            else:
+                assert np.array_equal(point, s.support_point(theta, ws_calls))
 
 
 def test_project_l2_ball_matches_linalg_norm():

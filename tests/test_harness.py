@@ -11,7 +11,7 @@ from bwcr.errors import ConfigError, GenerationError, SolverLimitError
 from bwcr.geometry import Halfspaces
 from bwcr.harness import (GeneratorSpec, config_from_json, generate_instance,
                           resolve_instance, run_experiment)
-from bwcr.solvers import LpProblem, solve_lp
+from bwcr.solvers import solve_lp
 
 
 def test_generator_kinds_validated():
@@ -31,8 +31,8 @@ def test_bwk_generator_feasible():
     spec = GeneratorSpec("bwk", {"m": 3, "resources": 2, "budget": 25.0, "horizon": 100})
     inst, _, _ = generate_instance(spec, seed=1)
     assert inst.d == 3
-    res = solve_lp(LpProblem(inst.mean_matrix[0], inst.mean_matrix[1:], 0.25))
-    assert res.status == "optimal"
+    res = solve_lp(inst.mean_matrix[0], inst.mean_matrix[1:], 0.25)
+    assert res.feasible
 
 
 def test_sensor_generator_disjoint_example():
@@ -298,6 +298,24 @@ def test_cli_mistyped_algorithm_fields_exit_2(tmp_path, capsys, field, value, me
     from bwcr import cli
     doc = _config_doc(tmp_path, horizon=5)
     doc["algorithm"] = {"variant": "ucb_bwcr", field: value}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["simulate", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("generator, message", [
+    ({"kind": "bwk", "m": 3}, "bad bwk generator parameters: 'budget'"),
+    ({"kind": "bwk", "m": 3, "budget": -5}, "bwk generator needs a positive budget"),
+    ({"kind": "random_bernoulli", "d": 2}, "bad random_bernoulli generator parameters: 'm'"),
+    ({"kind": "sensor_network", "m": 2, "coverage": [[5]]},
+     "bad sensor_network generator parameters: index 5 is out of bounds"),
+])
+def test_cli_malformed_generator_parameters_exit_2(tmp_path, capsys, generator, message):
+    # generator parameters are outside input: a config error, not a traceback
+    from bwcr import cli
+    doc = _config_doc(tmp_path, horizon=5)
+    doc["instance"] = {"generator": generator}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["simulate", "--config", str(path)]) == 2

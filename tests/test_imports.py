@@ -1,6 +1,7 @@
 """Static hygiene of the package sources: every import is used, every
-private helper and every public module-level function and class is read
-somewhere in the package, and importing the package loads no scipy."""
+private helper, every public module-level function and class and every
+dataclass field is read somewhere in the package, and importing the package
+loads no scipy."""
 import ast
 import os
 import subprocess
@@ -94,6 +95,43 @@ def test_no_orphaned_private_helpers():
 
 def test_no_orphaned_public_defs():
     assert [o for o in _package_orphans() if not o.startswith("_")] == []
+
+
+def _unread_fields(sources: dict) -> list:
+    """Fields of the dataclasses defined in ``sources`` (file name -> text)
+    that no expression in any of them reads as an attribute.  A field that
+    is only written is dead state."""
+    def is_dataclass(decorator):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+    fields, read = [], set()
+    for fname, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list)):
+                fields += [(node.name, stmt.target.id, fname, stmt.lineno) for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(f"{cls}.{name} ({fname}, line {line})" for cls, name, fname, line in fields
+                  if name not in read)
+
+
+def test_detector_flags_an_unread_dataclass_field():
+    # written by the constructor and by assignment, never read: flagged;
+    # plain classes and fields read anywhere in the package are not
+    sources = {"a.py": "from dataclasses import dataclass\n"
+                       "@dataclass(frozen=True)\nclass Result:\n    value: float\n"
+                       "    duals: list = None\n"
+                       "@dataclass\nclass State:\n    t: int\n"
+                       "class Plain:\n    extra: int\n",
+               "b.py": "import a\nr = a.Result(1.0, [])\nst = a.State(0)\nst.t = r.value\n"}
+    assert _unread_fields(sources) == ["Result.duals (a.py, line 5)", "State.t (a.py, line 8)"]
+
+
+def test_no_unread_dataclass_fields():
+    assert _unread_fields({path.name: path.read_text()
+                           for path in sorted(SRC.glob("*.py"))}) == []
 
 
 def test_package_import_loads_no_scipy():
